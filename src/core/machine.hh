@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/runtime_model.hh"
-#include "core/task_trace.hh"
 #include "cpu/core.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/phase_stats.hh"
@@ -159,10 +158,6 @@ class Machine
 
     const cpu::PhaseStats &phases() const { return phases_; }
     const dmu::Dmu *dmuUnit() const { return dmu_.get(); }
-
-    /** Enable/inspect the execution timeline (off by default). */
-    void enableTrace() { traceEnabled_ = true; }
-    const TaskTrace &trace() const { return trace_; }
 
     /**
      * The run's time-resolved trace (armed through
@@ -343,9 +338,6 @@ class Machine
 
     void idlePushBack(sim::CoreId core);
     void idleUnlink(sim::CoreId core);
-
-    TaskTrace trace_;
-    bool traceEnabled_ = false;
 
     /** Time-resolved trace (armed from cfg_.trace; see sim/trace.hh). */
     sim::TraceBuffer tbuf_;

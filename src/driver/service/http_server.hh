@@ -9,7 +9,7 @@
  * carries "Connection: close"; browsers reconnect transparently and
  * the SSE stream holds its one connection open anyway). Like the
  * protocol socket it binds loopback or unix only, and it reuses the
- * same Listener/Socket layer.
+ * same Acceptor/Socket layer.
  *
  * Request parsing is incremental (HttpParser::feed) so it can be
  * unit-tested against partial reads, oversized headers, and malformed
@@ -24,14 +24,13 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "driver/service/acceptor.hh"
 #include "driver/service/socket.hh"
 
 namespace tdm::driver::service {
@@ -104,13 +103,16 @@ std::string renderHttpResponse(int status,
                                bool head_only = false);
 
 /**
- * The server: an accept thread plus one thread per live connection
- * (the dashboard serves a handful of tabs, not the internet — this
- * mirrors the protocol server's model). The handler is invoked with
- * the parsed request and the connected socket and must write a
- * complete response; long-lived handlers (SSE) must poll @p stopping
- * to exit on shutdown. The connection closes when the handler
- * returns.
+ * The server: an Acceptor (acceptor.hh) whose loop runs on a thread
+ * of its own, with one thread per live connection — the dashboard
+ * serves a handful of tabs, not the internet, and the protocol server
+ * uses the same skeleton. This class adds only the HTTP part: the
+ * request head read under a deadline, the parse, and the dispatch
+ * (408 or 4xx for a head that never arrives whole). The handler is
+ * invoked with the parsed request and the connected socket and must
+ * write a complete response; long-lived handlers (SSE) must poll
+ * @p stopping to exit on shutdown. The connection closes when the
+ * handler returns.
  */
 class HttpServer
 {
@@ -136,48 +138,31 @@ class HttpServer
     HttpServer &operator=(const HttpServer &) = delete;
 
     /** The bound address (ephemeral tcp ports resolved). */
-    const Address &address() const { return listener_.address(); }
+    const Address &address() const { return acceptor_.address(); }
 
     /** Stop accepting, unblock every live connection, join all
-     *  threads. Idempotent; callable from any thread. */
+     *  threads. Idempotent; callable from any thread but a
+     *  connection's own. */
     void stop();
 
     /** Requests served (any status). */
     std::uint64_t requests() const { return requests_.load(); }
 
-    /** Connection records not yet reaped (live plus finished threads
-     *  awaiting their join at the next accept). A long-running daemon
-     *  keeps this near its live-connection count; 0 after stop(). */
-    std::size_t trackedConnections() const;
+    /** See Acceptor::trackedConnections(); 0 after stop(). */
+    std::size_t trackedConnections() const
+    {
+        return acceptor_.trackedConnections();
+    }
 
   private:
-    /** One live (or finished-but-unjoined) connection. The handler
-     *  thread clears @c fd before closing the socket (so stop() never
-     *  shuts down a kernel-reused descriptor) and raises @c done as
-     *  its final act; the accept loop joins done threads so a
-     *  long-running daemon holds threads only for live connections. */
-    struct Conn
-    {
-        int fd = -1; ///< -1 once the handler has closed the socket
-        std::atomic<bool> done{false};
-        std::thread thr;
-    };
-
-    void doStop();
-    void reapFinished();
-    void acceptLoop();
-    void handleConnection(Socket sock, Conn &conn);
+    void handleConnection(Socket &sock);
 
     Handler handler_;
-    Listener listener_;
     const int headTimeoutSec_;
-    std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> requests_{0};
-
-    mutable std::mutex connMutex_;
-    std::list<std::unique_ptr<Conn>> conns_;
-    std::once_flag stopOnce_;
-    std::thread acceptThread_;         ///< last: joined first in stop()
+    Acceptor acceptor_;
+    std::once_flag joinOnce_;
+    std::thread acceptThread_; ///< last: starts once the rest exists
 };
 
 } // namespace tdm::driver::service

@@ -3,8 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include <sys/socket.h>
-
 #include "driver/report/json_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/logging.hh"
@@ -34,7 +32,8 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
           eo.backend = store_.get();
           return std::make_unique<campaign::CampaignEngine>(eo);
       }()),
-      listener_(addr), started_(std::chrono::steady_clock::now())
+      acceptor_(addr, [this](Socket &sock) { handleClient(sock); }),
+      started_(std::chrono::steady_clock::now())
 {
     if (!opts_.httpAddr.empty()) {
         bus_ = std::make_unique<ProgressBus>();
@@ -51,7 +50,7 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
     }
     if (opts_.verbose) {
         sim::inform("campaign_serve: listening on ",
-                    listener_.address().display(),
+                    acceptor_.address().display(),
                     store_ ? " (store: " + store_->versionDir() + ")"
                            : " (no persistent store)");
         if (http_)
@@ -60,73 +59,27 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
     }
 }
 
-CampaignServer::~CampaignServer()
-{
-    stop();
-    // serve() joins its threads before returning; if serve() was never
-    // entered there are none. A destructor racing an active serve() is
-    // a caller bug, but join anything left to fail loudly, not UB.
-    for (std::thread &t : threads_)
-        if (t.joinable())
-            t.join();
-}
-
-void
-CampaignServer::serve()
-{
-    while (!stopping_.load()) {
-        Socket sock = listener_.accept();
-        if (!sock.valid()) {
-            if (stopping_.load())
-                break;
-            // Listener failure (not a stop): nothing to accept on.
-            sim::warn("campaign_serve: accept failed, stopping");
-            break;
-        }
-        {
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            if (stopping_.load())
-                break;
-            clientFds_.push_back(sock.fd());
-            threads_.emplace_back(
-                [this, s = std::move(sock)]() mutable {
-                    handleClient(std::move(s));
-                });
-        }
-    }
-    std::vector<std::thread> workers;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        workers.swap(threads_);
-    }
-    for (std::thread &t : workers)
-        t.join();
-}
+CampaignServer::~CampaignServer() { stop(); }
 
 void
 CampaignServer::stop()
 {
-    stopping_.store(true);
-    listener_.shutdownNow();
     // Dashboard first: closing the bus unblocks SSE sessions waiting
     // in Subscription::next(), then the HTTP stop joins their threads.
     if (bus_)
         bus_->close();
     if (http_)
         http_->stop();
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    for (int fd : clientFds_)
-        ::shutdown(fd, SHUT_RDWR);
+    acceptor_.stop();
 }
 
 void
-CampaignServer::handleClient(Socket sock)
+CampaignServer::handleClient(Socket &sock)
 {
-    const int fd = sock.fd();
     if (opts_.verbose)
         sim::inform("campaign_serve: client connected");
     std::string line;
-    while (!stopping_.load() && sock.readLine(line)) {
+    while (!acceptor_.stopping().load() && sock.readLine(line)) {
         if (line.empty())
             continue;
         Request req;
@@ -161,14 +114,14 @@ CampaignServer::handleClient(Socket sock)
             handleSubmit(sock, req.submit);
         }
     }
-    sock.close();
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    for (std::size_t i = 0; i < clientFds_.size(); ++i) {
-        if (clientFds_[i] == fd) {
-            clientFds_[i] = clientFds_.back();
-            clientFds_.pop_back();
-            break;
-        }
+    if (sock.lineTooLong()) {
+        // The rest of the stream cannot be framed: answer once, then
+        // the acceptor closes this connection.
+        std::ostringstream out;
+        writeError(out, "request line exceeds "
+                            + std::to_string(Socket::kMaxLineBytes)
+                            + " bytes");
+        sock.sendAll(out.str());
     }
 }
 

@@ -2,12 +2,13 @@
  * @file
  * The campaign server: many clients, one engine, one store.
  *
- * Every client connection gets its own handler thread, but all
- * submissions run on one shared CampaignEngine, so deduplication is
- * global across clients: points hit the shared in-memory cache, then
- * the shared on-disk store, and identical points simulating *right
- * now* for another client are joined in flight instead of re-run (the
- * engine's claim table). N clients sweeping overlapping grids
+ * Every client connection gets its own handler thread (the Acceptor
+ * skeleton the dashboard shares), but all submissions run on one
+ * shared CampaignEngine, so deduplication is global across clients:
+ * points hit the shared in-memory cache, then the shared on-disk
+ * store, and identical points simulating *right now* for another
+ * client are joined in flight instead of re-run (the engine's claim
+ * table). N clients sweeping overlapping grids
  * therefore cost exactly one simulation per distinct canonical-spec
  * fingerprint — the service invariant the stress tests pin.
  *
@@ -25,10 +26,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/service/acceptor.hh"
 #include "driver/service/dashboard_api.hh"
 #include "driver/service/http_server.hh"
 #include "driver/service/progress_bus.hh"
@@ -71,14 +71,22 @@ class CampaignServer
     CampaignServer &operator=(const CampaignServer &) = delete;
 
     /** The bound address (ephemeral tcp ports resolved). */
-    const Address &address() const { return listener_.address(); }
+    const Address &address() const { return acceptor_.address(); }
 
     /** Accept loop; returns once stopped. Joins all client threads. */
-    void serve();
+    void serve() { acceptor_.serve(); }
 
-    /** Stop serving: unblocks accept(), closes live connections.
-     *  Callable from any thread (including a handler). */
+    /** Stop serving: closes the progress bus, stops the dashboard,
+     *  then unblocks accept() and shuts live connections down. Never
+     *  joins a protocol connection, so it is callable from any thread
+     *  (including a handler). */
     void stop();
+
+    /** Protocol connections not yet reaped (Acceptor). */
+    std::size_t trackedConnections() const
+    {
+        return acceptor_.trackedConnections();
+    }
 
     /** Aggregate counters (for status and the daemon's exit report). */
     StatusInfo status() const;
@@ -96,13 +104,13 @@ class CampaignServer
     ProgressBus *bus() { return bus_.get(); }
 
   private:
-    void handleClient(Socket sock);
+    void handleClient(Socket &sock);
     void handleSubmit(Socket &sock, const SubmitRequest &req);
 
     ServerOptions opts_;
     std::unique_ptr<ResultStore> store_; ///< before engine_ (outlives)
     std::unique_ptr<campaign::CampaignEngine> engine_;
-    Listener listener_;
+    Acceptor acceptor_;
     std::chrono::steady_clock::time_point started_;
 
     // Dashboard plumbing, all null without --http. Declaration order
@@ -113,7 +121,6 @@ class CampaignServer
     std::unique_ptr<Dashboard> dashboard_;
     std::unique_ptr<HttpServer> http_;
 
-    std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> nextId_{1};
 
     mutable std::mutex statsMutex_;
@@ -124,10 +131,6 @@ class CampaignServer
     std::uint64_t fromDisk_ = 0;
     std::uint64_t fromInflight_ = 0;
     std::uint64_t fromForked_ = 0;
-
-    std::mutex clientsMutex_;
-    std::vector<int> clientFds_; ///< live connections, for stop()
-    std::vector<std::thread> threads_;
 };
 
 } // namespace tdm::driver::service

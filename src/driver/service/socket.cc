@@ -96,7 +96,8 @@ parseAddress(const std::string &text)
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket &&other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_))
+    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_)),
+      lineTooLong_(other.lineTooLong_)
 {
 }
 
@@ -107,6 +108,7 @@ Socket::operator=(Socket &&other) noexcept
         close();
         fd_ = std::exchange(other.fd_, -1);
         buf_ = std::move(other.buf_);
+        lineTooLong_ = other.lineTooLong_;
     }
     return *this;
 }
@@ -141,13 +143,20 @@ Socket::sendAll(const std::string &data)
 bool
 Socket::readLine(std::string &line)
 {
+    std::size_t scanned = 0; // buf_ holds no '\n' before this offset
     while (true) {
-        const auto nl = buf_.find('\n');
-        if (nl != std::string::npos) {
+        const auto nl = buf_.find('\n', scanned);
+        if (nl != std::string::npos && nl <= kMaxLineBytes) {
             line = buf_.substr(0, nl);
             buf_.erase(0, nl + 1);
             return true;
         }
+        if (buf_.size() > kMaxLineBytes) {
+            lineTooLong_ = true;
+            buf_.clear();
+            return false;
+        }
+        scanned = buf_.size();
         char chunk[4096];
         const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
         if (n < 0) {

@@ -10,8 +10,10 @@
  * tests and CI avoid port collisions.
  *
  * Socket wraps a connected fd with line-buffered reads (the protocol
- * is line-delimited) and EINTR/partial-write-safe sends; writes use
- * MSG_NOSIGNAL so a vanished peer surfaces as an error, not SIGPIPE.
+ * is line-delimited, and a line is capped at kMaxLineBytes so a peer
+ * that never sends '\n' cannot grow the buffer without bound) and
+ * EINTR/partial-write-safe sends; writes use MSG_NOSIGNAL so a
+ * vanished peer surfaces as an error, not SIGPIPE.
  */
 
 #ifndef TDM_DRIVER_SERVICE_SOCKET_HH
@@ -57,9 +59,19 @@ class Socket
     /** Write all of @p data; false on any send error. */
     bool sendAll(const std::string &data);
 
-    /** Next '\n'-terminated line (terminator stripped); false on EOF
-     *  or error. A final unterminated line is returned as-is. */
+    /** Longest line readLine() accepts: far above the largest line
+     *  any in-repo client or server sends (fig12's 90-point submit,
+     *  about 150 KB). */
+    static constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
+    /** Next '\n'-terminated line (terminator stripped); false on EOF,
+     *  error, or a line longer than kMaxLineBytes (lineTooLong() then
+     *  reports it; the stream cannot be framed past that point). A
+     *  final unterminated line is returned as-is. */
     bool readLine(std::string &line);
+
+    /** The last readLine() failed on an over-long line. */
+    bool lineTooLong() const { return lineTooLong_; }
 
     /** Raw read of up to @p cap bytes (EINTR-safe). Returns the byte
      *  count, 0 on EOF, -1 on error. Used by the HTTP layer, whose
@@ -71,6 +83,7 @@ class Socket
   private:
     int fd_ = -1;
     std::string buf_; ///< bytes read past the last returned line
+    bool lineTooLong_ = false;
 };
 
 /** A bound, listening socket. */

@@ -2,9 +2,10 @@
  * @file
  * Campaign-service tests: the wire protocol (JSON parsing, request
  * validation, point-event round-trips) and the live server/client
- * stack — concurrent clients deduplicating onto one engine, and a
+ * stack — concurrent clients deduplicating onto one engine, a
  * cold-restarted server replaying a sweep entirely from its
- * persistent store with byte-identical metrics.
+ * persistent store with byte-identical metrics, and the connection
+ * lifecycle: reaping, racing stops, and the request-line cap.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "driver/campaign/engine.hh"
@@ -386,4 +388,99 @@ TEST(ServiceServer, RestartServesSweepEntirelyFromDisk)
 
     fx.stop();
     fs::remove_all(dir);
+}
+
+// ---- connection lifecycle (the Acceptor skeleton) -----------------------
+
+TEST(ServiceLifecycle, ReapsFinishedProtocolConnections)
+{
+    ServerFixture fx(""); // memory-only
+    for (int i = 0; i < 64; ++i) {
+        svc::ServiceClient client(fx.address());
+        ASSERT_TRUE(client.ping());
+    }
+    // Each accept joins the connections whose handler has returned, so
+    // only the last client or two can still be tracked; a grow-only
+    // thread list would hold all 64 until shutdown.
+    EXPECT_LE(fx.server().trackedConnections(), 2u);
+    fx.stop();
+    EXPECT_EQ(fx.server().trackedConnections(), 0u);
+}
+
+TEST(ServiceLifecycle, ShutdownOpRacesExternalStopAndDestructor)
+{
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        svc::ServerOptions opts;
+        opts.engine.threads = 1;
+        opts.httpAddr = "tcp:127.0.0.1:0"; // the full teardown path
+        auto server = std::make_unique<svc::CampaignServer>(
+            svc::parseAddress("tcp:127.0.0.1:0"), opts);
+        std::thread serving([&] { server->serve(); });
+
+        // An idle client the teardown must unblock, and one that asks
+        // the daemon to shut down while another thread stops it.
+        svc::Socket idle = svc::connectTo(server->address());
+        svc::Socket asker = svc::connectTo(server->address());
+        std::thread stopper([&] { server->stop(); });
+        asker.sendAll("{\"op\":\"shutdown\"}\n");
+        std::string line;
+        while (idle.readLine(line)) {
+        } // EOF once the daemon shuts the connection down
+
+        stopper.join();
+        serving.join();
+        EXPECT_EQ(server->trackedConnections(), 0u);
+        server.reset(); // destructor: a third stop(), then teardown
+    }
+}
+
+TEST(ServiceLifecycle, OversizeRequestLineIsRefusedOthersKeepServing)
+{
+    ServerFixture fx("");
+    svc::ServiceClient bystander(fx.address());
+    ASSERT_TRUE(bystander.ping());
+
+    svc::Socket hog = svc::connectTo(svc::parseAddress(fx.address()));
+    // The sender may fail once the server gives up on the line and
+    // closes; that is the expected outcome, not an error.
+    std::thread sender([&] {
+        hog.sendAll(std::string(svc::Socket::kMaxLineBytes + 65536, 'x')
+                    + "\n");
+    });
+    std::string line;
+    ASSERT_TRUE(hog.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"error\""), std::string::npos)
+        << line.substr(0, 200);
+    EXPECT_NE(line.find("exceeds"), std::string::npos);
+    EXPECT_FALSE(hog.readLine(line)); // and the connection is closed
+    sender.join();
+
+    EXPECT_TRUE(bystander.ping());
+    svc::ServiceClient newcomer(fx.address());
+    EXPECT_TRUE(newcomer.ping());
+}
+
+TEST(ServiceLifecycle, ReadLineCapsBufferedBytes)
+{
+    // Both directions share the cap: a peer that never sends '\n'
+    // gets refused at kMaxLineBytes, not buffered until memory runs
+    // out, while a line right at the cap still reads.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    svc::Socket reader(fds[0]), writer(fds[1]);
+    std::thread sender([&] {
+        writer.sendAll(std::string(svc::Socket::kMaxLineBytes, 'a')
+                       + "\n"
+                       + std::string(svc::Socket::kMaxLineBytes + 1,
+                                     'b'));
+        writer.close();
+    });
+    std::string line;
+    ASSERT_TRUE(reader.readLine(line));
+    EXPECT_EQ(line.size(), svc::Socket::kMaxLineBytes);
+    EXPECT_FALSE(reader.lineTooLong());
+    EXPECT_FALSE(reader.readLine(line));
+    EXPECT_TRUE(reader.lineTooLong());
+    sender.join();
 }

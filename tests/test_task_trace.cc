@@ -1,73 +1,111 @@
 /**
  * @file
- * Tests for the execution timeline recorder and its machine
- * integration: every task appears exactly once, per-core intervals
- * never overlap, and parallelism statistics are sane.
+ * The execution timeline as recorded by the machine's trace buffer
+ * (trace.categories=task, TaskExec spans): every task appears exactly
+ * once, per-core intervals never overlap, parallelism is bounded by
+ * the core count, and dependence order shows in the intervals.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/machine.hh"
+#include "sim/trace.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
 
-TEST(TaskTrace, ParallelismStats)
+namespace {
+
+/** One task body execution, decoded from a TaskExec span. */
+struct ExecSpan
 {
-    core::TaskTrace t;
-    t.record(0, 0, 0, 100, 0);
-    t.record(1, 1, 0, 100, 0);
-    t.record(2, 0, 100, 200, 0);
-    EXPECT_DOUBLE_EQ(t.avgParallelism(200), 1.5);
-    EXPECT_EQ(t.peakParallelism(), 2u);
+    rt::TaskId task;
+    sim::CoreId core;
+    sim::Tick start;
+    sim::Tick end;
+};
+
+/** Machine config with only the task trace category armed. */
+cpu::MachineConfig
+taskTraced(unsigned cores)
+{
+    cpu::MachineConfig cfg;
+    cfg.numCores = cores;
+    cfg.trace.categories = sim::parseTraceCategories("task");
+    return cfg;
 }
 
-TEST(TaskTrace, PeakCountsBackToBackOnce)
+std::vector<ExecSpan>
+execSpans(const sim::TraceBuffer &buf)
 {
-    core::TaskTrace t;
-    t.record(0, 0, 0, 100, 0);
-    t.record(1, 0, 100, 200, 0); // same core, adjacent
-    EXPECT_EQ(t.peakParallelism(), 1u);
+    std::vector<ExecSpan> out;
+    buf.forEach([&](const sim::TraceRecord &r) {
+        if (r.point == static_cast<std::uint16_t>(sim::TracePoint::TaskExec))
+            out.push_back({r.a, r.core, r.tick, r.tick + r.dur});
+    });
+    return out;
 }
 
-TEST(TaskTrace, ChromeExportWellFormed)
+/** Peak number of simultaneously executing spans (an end and a start
+ *  at the same tick do not overlap). */
+unsigned
+peakParallelism(const std::vector<ExecSpan> &spans)
 {
-    core::TaskTrace t;
-    t.record(3, 2, 2000, 4000, 7);
-    std::ostringstream oss;
-    t.writeChromeTrace(oss, "demo");
-    std::string s = oss.str();
-    EXPECT_NE(s.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(s.find("task3/k7"), std::string::npos);
-    EXPECT_NE(s.find("\"tid\":2"), std::string::npos);
-    EXPECT_EQ(s.front(), '{');
-    EXPECT_EQ(s.back(), '}');
+    std::vector<std::pair<sim::Tick, int>> events;
+    for (const ExecSpan &s : spans) {
+        events.emplace_back(s.start, +1);
+        events.emplace_back(s.end, -1);
+    }
+    std::sort(events.begin(), events.end()); // ends sort before starts
+    int cur = 0, peak = 0;
+    for (const auto &[t, d] : events)
+        peak = std::max(peak, cur += d);
+    return static_cast<unsigned>(peak);
 }
+
+/** Busy time over makespan: mean number of executing cores. */
+double
+avgParallelism(const std::vector<ExecSpan> &spans, sim::Tick makespan)
+{
+    double busy = 0.0;
+    for (const ExecSpan &s : spans)
+        busy += static_cast<double>(s.end - s.start);
+    return busy / static_cast<double>(makespan);
+}
+
+rt::TaskGraph
+smallCholesky()
+{
+    wl::WorkloadParams p;
+    p.granularity = 262144;
+    return wl::buildWorkload("cholesky", p);
+}
+
+} // namespace
 
 TEST(TaskTraceMachine, EveryTaskTracedOnce)
 {
-    wl::WorkloadParams p;
-    p.granularity = 262144; // small cholesky
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
-    cpu::MachineConfig cfg;
-    cfg.numCores = 8;
+    rt::TaskGraph g = smallCholesky();
+    const cpu::MachineConfig cfg = taskTraced(8);
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
     auto res = m.run();
     ASSERT_TRUE(res.completed);
+    EXPECT_EQ(m.traceBuffer().dropped(), 0u);
 
-    ASSERT_EQ(m.trace().size(), g.numTasks());
+    const std::vector<ExecSpan> spans = execSpans(m.traceBuffer());
+    ASSERT_EQ(spans.size(), g.numTasks());
     std::vector<unsigned> seen(g.numTasks(), 0);
-    for (const auto &r : m.trace().records()) {
-        ASSERT_LT(r.task, g.numTasks());
-        ++seen[r.task];
-        EXPECT_LT(r.start, r.end);
-        EXPECT_LE(r.end, res.makespan);
-        EXPECT_LT(r.core, cfg.numCores);
+    for (const ExecSpan &s : spans) {
+        ASSERT_LT(s.task, g.numTasks());
+        ++seen[s.task];
+        EXPECT_LT(s.start, s.end);
+        EXPECT_LE(s.end, res.makespan);
+        EXPECT_LT(s.core, cfg.numCores);
     }
     for (unsigned s : seen)
         EXPECT_EQ(s, 1u);
@@ -75,19 +113,15 @@ TEST(TaskTraceMachine, EveryTaskTracedOnce)
 
 TEST(TaskTraceMachine, PerCoreIntervalsDisjoint)
 {
-    wl::WorkloadParams p;
-    p.granularity = 262144;
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
-    cpu::MachineConfig cfg;
-    cfg.numCores = 8;
-    core::Machine m(cfg, g, core::RuntimeType::Software);
-    m.enableTrace();
+    rt::TaskGraph g = smallCholesky();
+    core::Machine m(taskTraced(8), g, core::RuntimeType::Software);
     ASSERT_TRUE(m.run().completed);
 
     std::map<sim::CoreId, std::vector<std::pair<sim::Tick, sim::Tick>>>
         per_core;
-    for (const auto &r : m.trace().records())
-        per_core[r.core].emplace_back(r.start, r.end);
+    for (const ExecSpan &s : execSpans(m.traceBuffer()))
+        per_core[s.core].emplace_back(s.start, s.end);
+    ASSERT_FALSE(per_core.empty());
     for (auto &[core_id, ivals] : per_core) {
         std::sort(ivals.begin(), ivals.end());
         for (std::size_t i = 1; i < ivals.size(); ++i)
@@ -98,18 +132,15 @@ TEST(TaskTraceMachine, PerCoreIntervalsDisjoint)
 
 TEST(TaskTraceMachine, ParallelismBoundedByCores)
 {
-    wl::WorkloadParams p;
-    p.granularity = 262144;
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
-    cpu::MachineConfig cfg;
-    cfg.numCores = 8;
+    rt::TaskGraph g = smallCholesky();
+    const cpu::MachineConfig cfg = taskTraced(8);
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
     auto res = m.run();
     ASSERT_TRUE(res.completed);
-    EXPECT_LE(m.trace().peakParallelism(), cfg.numCores);
-    EXPECT_LE(m.trace().avgParallelism(res.makespan), cfg.numCores);
-    EXPECT_GT(m.trace().avgParallelism(res.makespan), 1.0);
+    const std::vector<ExecSpan> spans = execSpans(m.traceBuffer());
+    EXPECT_LE(peakParallelism(spans), cfg.numCores);
+    EXPECT_LE(avgParallelism(spans, res.makespan), cfg.numCores);
+    EXPECT_GT(avgParallelism(spans, res.makespan), 1.0);
 }
 
 TEST(TaskTraceMachine, RespectsDependenceOrder)
@@ -122,15 +153,14 @@ TEST(TaskTraceMachine, RespectsDependenceOrder)
         g.createTask(sim::usToTicks(20));
         g.dep(r, rt::DepDir::InOut);
     }
-    cpu::MachineConfig cfg;
-    cfg.numCores = 4;
-    core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
+    core::Machine m(taskTraced(4), g, core::RuntimeType::Tdm);
     ASSERT_TRUE(m.run().completed);
+    const std::vector<ExecSpan> spans = execSpans(m.traceBuffer());
+    ASSERT_EQ(spans.size(), 10u);
     std::vector<sim::Tick> start(10), end(10);
-    for (const auto &rec : m.trace().records()) {
-        start[rec.task] = rec.start;
-        end[rec.task] = rec.end;
+    for (const ExecSpan &s : spans) {
+        start[s.task] = s.start;
+        end[s.task] = s.end;
     }
     for (int i = 1; i < 10; ++i)
         EXPECT_GE(start[i], end[i - 1]);
