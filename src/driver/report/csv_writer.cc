@@ -1,8 +1,9 @@
 #include "driver/report/csv_writer.hh"
 
-#include <iomanip>
 #include <set>
 #include <sstream>
+
+#include "driver/report/json_writer.hh"
 
 namespace tdm::driver::report {
 
@@ -58,24 +59,29 @@ writeRows(std::ostream &os, const campaign::CampaignResult &c,
         // excluded.
         const sim::MetricSet sel =
             s.metrics().select(c.metricsPattern);
+        const auto num = [](double v) {
+            std::string text;
+            appendDouble(text, v);
+            return text;
+        };
         std::ostringstream row;
-        row << std::setprecision(17);
         row << csvField(c.name) << ',' << csvField(j.label) << ','
             << j.digest << ',' << (j.cacheHit ? 1 : 0) << ','
             << campaign::jobSourceName(j.source) << ','
             << (j.ok() ? 1 : 0) << ',' << csvField(j.error) << ','
-            << j.wallMs << ',' << csvField(j.tracePath) << ','
-            << (s.completed ? 1 : 0) << ','
-            << s.makespan << ',' << s.timeMs << ',' << s.energyJ << ','
-            << s.edp << ',' << s.avgWatts << ',' << s.numTasks << ','
-            << s.avgTaskUs << ',' << s.machine.tasksExecuted << ','
+            << num(j.wallMs) << ',' << csvField(j.tracePath) << ','
+            << (s.completed ? 1 : 0) << ',' << s.makespan << ','
+            << num(s.timeMs) << ',' << num(s.energyJ) << ','
+            << num(s.edp) << ',' << num(s.avgWatts) << ','
+            << s.numTasks << ',' << num(s.avgTaskUs) << ','
+            << s.machine.tasksExecuted << ','
             << s.machine.dmuAccesses << ',' << s.machine.dmuBlockedOps
             << ',' << s.machine.steals << ','
-            << s.machine.masterCreationFraction;
+            << num(s.machine.masterCreationFraction);
         for (const std::string &k : metric_cols) {
             row << ',';
             if (sel.contains(k))
-                row << sel.get(k);
+                row << num(sel.get(k));
         }
         os << row.str() << '\n';
     }

@@ -1,10 +1,36 @@
 #include "driver/report/json_writer.hh"
 
+#include <charconv>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 namespace tdm::driver::report {
+
+namespace {
+
+/** Room for any "%.17g" rendering; the longest is 24 bytes
+ *  ("-2.2250738585072014e-308"). */
+constexpr std::size_t kDoubleChars = 32;
+
+/** Render @p v into @p buf; returns the length. to_chars with an
+ *  explicit precision is specified as printf's "%.*g" in the C
+ *  locale, without printf's format parsing or iostream's locale and
+ *  sentry machinery. */
+std::size_t
+renderDouble(char (&buf)[kDoubleChars], double v)
+{
+    const auto r = std::to_chars(buf, buf + kDoubleChars, v,
+                                 std::chars_format::general, 17);
+    return static_cast<std::size_t>(r.ptr - buf);
+}
+
+} // namespace
+
+void
+appendDouble(std::string &out, double v)
+{
+    char buf[kDoubleChars];
+    out.append(buf, renderDouble(buf, v));
+}
 
 void
 jsonNumber(std::ostream &os, double v)
@@ -13,9 +39,17 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
         return;
     }
-    std::ostringstream oss;
-    oss << std::setprecision(17) << v;
-    os << oss.str();
+    char buf[kDoubleChars];
+    os.write(buf, static_cast<std::streamsize>(renderDouble(buf, v)));
+}
+
+void
+jsonNumber(std::string &out, double v)
+{
+    if (std::isfinite(v))
+        appendDouble(out, v);
+    else
+        out += "null";
 }
 
 namespace {
@@ -145,27 +179,41 @@ writeCampaign(std::ostream &os, const campaign::CampaignResult &c,
 
 } // namespace
 
+void
+jsonEscape(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    // Bytes that need no escape are copied in runs, so a string with
+    // nothing to escape costs one append.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto ch = static_cast<unsigned char>(s[i]);
+        if (ch >= 0x20 && ch != '"' && ch != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (ch) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            out += "\\u00";
+            out += kHex[ch >> 4];
+            out += kHex[ch & 0xf];
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+}
+
 std::string
 jsonEscape(const std::string &s)
 {
-    std::ostringstream oss;
-    for (unsigned char ch : s) {
-        switch (ch) {
-        case '"': oss << "\\\""; break;
-        case '\\': oss << "\\\\"; break;
-        case '\n': oss << "\\n"; break;
-        case '\r': oss << "\\r"; break;
-        case '\t': oss << "\\t"; break;
-        default:
-            if (ch < 0x20)
-                oss << "\\u" << std::hex << std::setw(4)
-                    << std::setfill('0') << static_cast<int>(ch)
-                    << std::dec;
-            else
-                oss << ch;
-        }
-    }
-    return oss.str();
+    std::string out;
+    out.reserve(s.size());
+    jsonEscape(out, s);
+    return out;
 }
 
 void

@@ -9,6 +9,8 @@
 #define TDM_DRIVER_REPORT_JSON_WRITER_HH
 
 #include <ostream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/campaign/engine.hh"
@@ -25,13 +27,24 @@ void writeJson(std::ostream &os, const campaign::CampaignResult &c);
 /** JSON-escape @p s (without surrounding quotes). */
 std::string jsonEscape(const std::string &s);
 
+/** Append @p s to @p out, JSON-escaped (without surrounding quotes). */
+void jsonEscape(std::string &out, std::string_view s);
+
 /**
- * Write @p v as a JSON number: finite doubles round-trip bit-exactly
- * (17 significant digits); non-finite values render as null. The one
- * formatter shared by the file export and the service protocol, so a
- * metric serializes to identical bytes on every path.
+ * Append @p v with 17 significant digits, byte for byte what printf's
+ * "%.17g" writes: finite doubles parse back bit-exactly, non-finite
+ * ones read "inf", "-inf", "nan" or "-nan". The one double formatter
+ * of the JSON and CSV exports, the service protocol and the result
+ * store, so a metric serializes to identical bytes on every path.
  */
+void appendDouble(std::string &out, double v);
+
+/** Write @p v as a JSON number: appendDouble() for finite values,
+ *  null for non-finite ones. */
 void jsonNumber(std::ostream &os, double v);
+
+/** Append @p v as a JSON number (see the stream overload). */
+void jsonNumber(std::string &out, double v);
 
 } // namespace tdm::driver::report
 

@@ -5,10 +5,26 @@
 
 #include "driver/campaign/fingerprint.hh"
 #include "driver/report/json_writer.hh"
+#include "driver/spec/spec.hh"
 
 namespace tdm::driver::service {
 
 using report::jsonEscape;
+
+sim::Config
+specDelta(const sim::Config &canonical)
+{
+    // The server starts every point from a default Experiment
+    // (spec::apply), so that experiment's own rendering is the base.
+    static const sim::Config defaults = spec::describe(Experiment{});
+    sim::Config delta;
+    for (const auto &[k, v] : canonical.entries()) {
+        const auto it = defaults.entries().find(k);
+        if (it == defaults.entries().end() || it->second != v)
+            delta.set(k, v);
+    }
+    return delta;
+}
 
 ServiceClient::ServiceClient(const std::string &address)
     : sock_(connectTo(parseAddress(address))), address_(address)
@@ -110,13 +126,21 @@ campaign::CampaignResult
 ServiceClient::submit(const campaign::Campaign &c,
                       const campaign::JobCallback &onJob)
 {
-    // Canonical specs, computed once: they parameterize the request
-    // and are grafted back onto the streamed jobs (point events do not
-    // carry the spec map — both sides can derive it).
+    // Canonical specs, computed once: their non-default entries
+    // parameterize the request, and they are grafted back onto the
+    // streamed jobs (point events do not carry the spec map — both
+    // sides can derive it). Each point's digest must match the one
+    // the server reports, so a server whose defaults differ from
+    // ours fails loudly instead of running other experiments.
     std::vector<sim::Config> specs;
+    std::vector<std::string> digests;
     specs.reserve(c.points.size());
-    for (const SweepPoint &p : c.points)
+    digests.reserve(c.points.size());
+    for (const SweepPoint &p : c.points) {
         specs.push_back(campaign::canonicalConfig(p.exp));
+        digests.push_back(
+            campaign::digestOfKey(specs.back().serialize()));
+    }
 
     std::ostringstream req;
     req << "{\"op\":\"submit\",\"name\":\"" << jsonEscape(c.name)
@@ -125,8 +149,9 @@ ServiceClient::submit(const campaign::Campaign &c,
     for (std::size_t i = 0; i < c.points.size(); ++i) {
         req << (i ? "," : "") << "{\"label\":\""
             << jsonEscape(c.points[i].label) << "\",\"spec\":{";
+        const sim::Config delta = specDelta(specs[i]);
         bool first = true;
-        for (const auto &[k, v] : specs[i].entries()) {
+        for (const auto &[k, v] : delta.entries()) {
             req << (first ? "" : ",") << "\"" << jsonEscape(k)
                 << "\":\"" << jsonEscape(v) << "\"";
             first = false;
@@ -173,12 +198,18 @@ ServiceClient::submit(const campaign::Campaign &c,
                 throw std::runtime_error("campaign service " +
                                          address_ +
                                          ": malformed point event");
+            if (job.digest != digests[index])
+                throw std::runtime_error(
+                    "campaign service " + address_ + ": point " +
+                    std::to_string(index) + " ran as " + job.digest +
+                    ", expected " + digests[index] +
+                    " (do client and server share spec defaults?)");
             job.spec = specs[index];
             if (!received[index]) {
                 received[index] = true;
                 ++receivedCount;
             }
-            result.jobs[index] = job;
+            result.jobs[index] = std::move(job);
             if (onJob)
                 onJob(result.jobs[index], index, total);
             continue;

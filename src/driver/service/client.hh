@@ -5,9 +5,14 @@
  * CampaignResult — so campaign_run --server produces the same reports
  * (JSON/CSV/summary line) whether points ran locally or were served.
  *
- * Points are submitted by full canonical spec (every binding key), so
- * the server reconstructs bit-identical experiments and fingerprints
- * regardless of either side's defaults.
+ * Points are submitted by the entries of their canonical spec that
+ * differ from a default Experiment's (specDelta): the server applies
+ * them onto its own defaults and reconstructs bit-identical
+ * experiments and fingerprints. Sending only those keys makes a
+ * request about 17x smaller than the full specs (fig12: 8,947 bytes
+ * instead of 152,968). The client checks each streamed point's
+ * digest, so a server built with other defaults is refused rather
+ * than silently running other experiments.
  */
 
 #ifndef TDM_DRIVER_SERVICE_CLIENT_HH
@@ -20,6 +25,11 @@
 #include "driver/service/socket.hh"
 
 namespace tdm::driver::service {
+
+/** The entries of @p canonical that differ from a default
+ *  Experiment's spec: what submit() sends for a point. spec::apply()
+ *  of them gives back an experiment with the same canonical spec. */
+sim::Config specDelta(const sim::Config &canonical);
 
 /** A connected service client. Not thread-safe (one request at a
  *  time, like the protocol). */

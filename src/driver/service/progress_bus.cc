@@ -97,7 +97,7 @@ ProgressBus::unsubscribe(const std::shared_ptr<Subscription> &sub)
 }
 
 void
-ProgressBus::publish(const std::string &name, const std::string &json)
+ProgressBus::publish(const std::string &name, std::string_view json)
 {
     // Snapshot the subscriber list so a slow push never holds the bus
     // lock (pushes only take the per-subscription lock anyway).
@@ -109,7 +109,7 @@ ProgressBus::publish(const std::string &name, const std::string &json)
         ++published_;
         subs = subs_;
     }
-    const BusEvent ev{name, json};
+    const BusEvent ev{name, std::string(json)};
     for (const auto &sub : subs)
         sub->push(ev);
 }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tdm::driver::service {
@@ -100,7 +101,7 @@ class ProgressBus
 
     /** Fan @p name / @p json out to every subscriber. Never blocks on
      *  consumers; over-bound queues drop their oldest event. */
-    void publish(const std::string &name, const std::string &json);
+    void publish(const std::string &name, std::string_view json);
 
     /** Close every subscription and reject future ones (shutdown). */
     void close();

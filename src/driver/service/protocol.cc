@@ -1,5 +1,6 @@
 #include "driver/service/protocol.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -118,8 +119,15 @@ class JsonReader
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("unescaped control character in string");
             if (c != '\\') {
-                out += c;
-                ++pos_;
+                // Copy the run up to the next quote, escape or control
+                // byte in one append.
+                const std::size_t start = pos_;
+                while (++pos_ < s_.size()) {
+                    const auto d = static_cast<unsigned char>(s_[pos_]);
+                    if (d == '"' || d == '\\' || d < 0x20)
+                        break;
+                }
+                out.append(s_, start, pos_ - start);
                 continue;
             }
             if (++pos_ >= s_.size())
@@ -195,8 +203,14 @@ class JsonReader
                 return fail("malformed number");
         }
         out.kind = JsonValue::Kind::Number;
-        out.text = s_.substr(start, pos_ - start);
-        out.number = std::strtod(out.text.c_str(), nullptr);
+        out.text.assign(s_, start, pos_ - start);
+        // from_chars rounds exactly as strtod does, but leaves the
+        // value untouched on overflow or underflow, where strtod's
+        // inf or (sub)normal result is the one to keep.
+        const char *first = s_.data() + start;
+        const char *last = s_.data() + pos_;
+        if (std::from_chars(first, last, out.number).ec != std::errc{})
+            out.number = std::strtod(out.text.c_str(), nullptr);
         return true;
     }
 
@@ -524,50 +538,114 @@ writeAccepted(std::ostream &os, std::uint64_t id,
        << jsonEscape(name) << "\",\"points\":" << points << "}\n";
 }
 
+namespace {
+
+/** Appends `,"key":value` members to a JSON object being rendered. */
+class Members
+{
+  public:
+    explicit Members(std::string &out) : out_(out) {}
+
+    Members &uint(const char *k, std::uint64_t v)
+    {
+        key(k);
+        char buf[20];
+        out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        return *this;
+    }
+    Members &num(const char *k, double v)
+    {
+        key(k);
+        jsonNumber(out_, v);
+        return *this;
+    }
+    Members &flag(const char *k, bool v)
+    {
+        key(k);
+        out_ += v ? "true" : "false";
+        return *this;
+    }
+    Members &str(const char *k, std::string_view v)
+    {
+        key(k);
+        out_ += '"';
+        jsonEscape(out_, v);
+        out_ += '"';
+        return *this;
+    }
+
+  private:
+    void key(const char *k)
+    {
+        out_ += ",\"";
+        out_ += k;
+        out_ += "\":";
+    }
+
+    std::string &out_;
+};
+
+} // namespace
+
+void
+writePoint(std::string &out, std::uint64_t id,
+           const campaign::JobResult &job, std::size_t index,
+           std::size_t total, const std::string &metrics_pattern)
+{
+    const RunSummary &s = job.summary;
+    out += "{\"event\":\"point\"";
+    Members(out)
+        .uint("id", id)
+        .uint("index", index)
+        .uint("total", total)
+        .str("label", job.label)
+        .str("digest", job.digest)
+        .str("source", campaign::jobSourceName(job.source))
+        .flag("cache_hit", job.cacheHit)
+        .flag("ok", job.ok())
+        .str("error", job.error)
+        .num("wall_ms", job.wallMs)
+        .num("done_at_ms", job.doneAtMs)
+        .flag("completed", s.completed)
+        .uint("makespan", s.makespan)
+        .num("time_ms", s.timeMs)
+        .num("energy_j", s.energyJ)
+        .num("edp", s.edp)
+        .num("avg_watts", s.avgWatts)
+        .uint("num_tasks", s.numTasks)
+        .num("avg_task_us", s.avgTaskUs)
+        .uint("tasks_executed", s.machine.tasksExecuted)
+        .uint("dmu_accesses", s.machine.dmuAccesses)
+        .uint("dmu_blocked_ops", s.machine.dmuBlockedOps)
+        .uint("steals", s.machine.steals)
+        .num("master_creation_fraction", s.machine.masterCreationFraction);
+    out += ",\"metrics\":{";
+    // An empty pattern selects the whole tree: walk it in place
+    // rather than copy it through select().
+    sim::MetricSet selected;
+    const sim::MetricSet &metrics =
+        metrics_pattern.empty()
+            ? s.metrics()
+            : (selected = s.metrics().select(metrics_pattern));
+    bool first = true;
+    for (const auto &[k, v] : metrics.entries()) {
+        out += first ? "\"" : ",\"";
+        jsonEscape(out, k);
+        out += "\":";
+        jsonNumber(out, v);
+        first = false;
+    }
+    out += "}}\n";
+}
+
 void
 writePoint(std::ostream &os, std::uint64_t id,
            const campaign::JobResult &job, std::size_t index,
            std::size_t total, const std::string &metrics_pattern)
 {
-    const RunSummary &s = job.summary;
-    os << "{\"event\":\"point\",\"id\":" << id
-       << ",\"index\":" << index << ",\"total\":" << total
-       << ",\"label\":\"" << jsonEscape(job.label) << "\",\"digest\":\""
-       << jsonEscape(job.digest) << "\",\"source\":\""
-       << campaign::jobSourceName(job.source) << "\",\"cache_hit\":"
-       << (job.cacheHit ? "true" : "false")
-       << ",\"ok\":" << (job.ok() ? "true" : "false")
-       << ",\"error\":\"" << jsonEscape(job.error) << "\",\"wall_ms\":";
-    jsonNumber(os, job.wallMs);
-    os << ",\"done_at_ms\":";
-    jsonNumber(os, job.doneAtMs);
-    os << ",\"completed\":" << (s.completed ? "true" : "false")
-       << ",\"makespan\":" << s.makespan << ",\"time_ms\":";
-    jsonNumber(os, s.timeMs);
-    os << ",\"energy_j\":";
-    jsonNumber(os, s.energyJ);
-    os << ",\"edp\":";
-    jsonNumber(os, s.edp);
-    os << ",\"avg_watts\":";
-    jsonNumber(os, s.avgWatts);
-    os << ",\"num_tasks\":" << s.numTasks << ",\"avg_task_us\":";
-    jsonNumber(os, s.avgTaskUs);
-    os << ",\"tasks_executed\":" << s.machine.tasksExecuted
-       << ",\"dmu_accesses\":" << s.machine.dmuAccesses
-       << ",\"dmu_blocked_ops\":" << s.machine.dmuBlockedOps
-       << ",\"steals\":" << s.machine.steals
-       << ",\"master_creation_fraction\":";
-    jsonNumber(os, s.machine.masterCreationFraction);
-    os << ",\"metrics\":{";
-    const sim::MetricSet selected =
-        s.metrics().select(metrics_pattern);
-    bool first = true;
-    for (const auto &[k, v] : selected.entries()) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";
-        jsonNumber(os, v);
-        first = false;
-    }
-    os << "}}\n";
+    std::string out;
+    writePoint(out, id, job, index, total, metrics_pattern);
+    os << out;
 }
 
 void

@@ -150,8 +150,14 @@ void writeError(std::ostream &os, const std::string &message);
 void writeAccepted(std::ostream &os, std::uint64_t id,
                    const std::string &name, std::size_t points);
 
-/** One streamed per-point result; @p metrics_pattern selects the
- *  exported metric subtree exactly like the file writers. */
+/** One streamed per-point result, appended to @p out;
+ *  @p metrics_pattern selects the exported metric subtree exactly
+ *  like the file writers. */
+void writePoint(std::string &out, std::uint64_t id,
+                const campaign::JobResult &job, std::size_t index,
+                std::size_t total, const std::string &metrics_pattern);
+
+/** The same line, written to @p os. */
 void writePoint(std::ostream &os, std::uint64_t id,
                 const campaign::JobResult &job, std::size_t index,
                 std::size_t total, const std::string &metrics_pattern);

@@ -1,6 +1,7 @@
 #include "driver/service/server.hh"
 
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "driver/report/json_writer.hh"
@@ -12,12 +13,13 @@ namespace tdm::driver::service {
 namespace {
 
 /** Protocol lines end in '\n'; bus payloads (SSE data) must not. */
-std::string
-chomp(std::string line)
+std::string_view
+chomp(const std::string &line)
 {
-    if (!line.empty() && line.back() == '\n')
-        line.pop_back();
-    return line;
+    std::string_view v(line);
+    if (!v.empty() && v.back() == '\n')
+        v.remove_suffix(1);
+    return v;
 }
 
 } // namespace
@@ -158,19 +160,20 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
     // cannot abort the run (the engine owns the jobs; other clients
     // may be attached to them) — we just stop streaming. The point
     // JSON is rendered once and shared by the socket and the bus, so
-    // a dashboard sees the exact bytes the client got.
+    // a dashboard sees the exact bytes the client got. The engine
+    // serializes the callbacks, so one line buffer serves them all.
     bool sendOk = true;
     const std::string metricsPattern = c.metrics;
     std::uint64_t bySource[5] = {0, 0, 0, 0, 0};
     std::size_t doneCount = 0;
+    std::string line;
     const campaign::CampaignResult result = engine_->run(
         c, [&](const campaign::JobResult &job, std::size_t index,
                std::size_t total) {
             if (!sendOk && !bus_)
                 return;
-            std::ostringstream out;
-            writePoint(out, id, job, index, total, metricsPattern);
-            const std::string line = out.str();
+            line.clear();
+            writePoint(line, id, job, index, total, metricsPattern);
             if (sendOk)
                 sendOk = sock.sendAll(line);
             if (!bus_)
@@ -222,7 +225,7 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
                     " disk, ", result.fromInflight, " inflight");
     std::ostringstream out;
     writeDone(out, id, result);
-    const std::string line = out.str();
+    line = out.str();
     if (bus_) {
         registry_->done(id, result);
         bus_->publish("done", chomp(line));

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -32,6 +33,21 @@ unixAddr(const std::string &path)
         throw std::runtime_error("unix socket path too long: " + path);
     std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
     return sa;
+}
+
+/**
+ * Send each write as soon as it is made. Every protocol, HTTP and SSE
+ * message leaves in one sendAll(), so Nagle's algorithm has nothing to
+ * coalesce; what it does instead is hold a write smaller than a full
+ * segment while earlier data is unacknowledged, and a peer that
+ * delays its ACK (up to 40 ms on Linux) stalls back-to-back events
+ * that long.
+ */
+void
+setNoDelay(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 sockaddr_in
@@ -147,7 +163,7 @@ Socket::readLine(std::string &line)
     while (true) {
         const auto nl = buf_.find('\n', scanned);
         if (nl != std::string::npos && nl <= kMaxLineBytes) {
-            line = buf_.substr(0, nl);
+            line.assign(buf_, 0, nl);
             buf_.erase(0, nl + 1);
             return true;
         }
@@ -157,7 +173,9 @@ Socket::readLine(std::string &line)
             return false;
         }
         scanned = buf_.size();
-        char chunk[4096];
+        // Large enough that a point event (about 8 KB) arrives in one
+        // call, and a whole burst of them in a few.
+        char chunk[64 * 1024];
         const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
         if (n < 0) {
             if (errno == EINTR)
@@ -251,8 +269,11 @@ Listener::accept()
 {
     while (true) {
         const int fd = ::accept(fd_, nullptr, nullptr);
-        if (fd >= 0)
+        if (fd >= 0) {
+            if (!addr_.isUnix)
+                setNoDelay(fd);
             return Socket(fd);
+        }
         if (errno == EINTR)
             continue;
         return Socket();
@@ -294,6 +315,7 @@ connectTo(const Address &addr)
         errno = err;
         sockError("connect(" + addr.display() + ")");
     }
+    setNoDelay(fd);
     return Socket(fd);
 }
 

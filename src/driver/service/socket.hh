@@ -13,7 +13,10 @@
  * is line-delimited, and a line is capped at kMaxLineBytes so a peer
  * that never sends '\n' cannot grow the buffer without bound) and
  * EINTR/partial-write-safe sends; writes use MSG_NOSIGNAL so a
- * vanished peer surfaces as an error, not SIGPIPE.
+ * vanished peer surfaces as an error, not SIGPIPE. Every TCP socket,
+ * accepted or connected, sets TCP_NODELAY: each message goes out in
+ * one sendAll(), and Nagle's algorithm would otherwise hold it until
+ * the peer's delayed ACK of the previous one.
  */
 
 #ifndef TDM_DRIVER_SERVICE_SOCKET_HH
@@ -61,7 +64,8 @@ class Socket
 
     /** Longest line readLine() accepts: far above the largest line
      *  any in-repo client or server sends (fig12's 90-point submit,
-     *  about 150 KB). */
+     *  8,947 bytes; a point event with the full metric tree, about
+     *  7.6 KB). */
     static constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
 
     /** Next '\n'-terminated line (terminator stripped); false on EOF,

@@ -21,9 +21,9 @@ sseFrame(const std::string &name, const std::string &data)
     while (true) {
         const std::size_t nl = data.find('\n', pos);
         out += "data: ";
-        out += data.substr(pos, nl == std::string::npos
-                                    ? std::string::npos
-                                    : nl - pos);
+        out.append(data, pos,
+                   nl == std::string::npos ? std::string::npos
+                                           : nl - pos);
         out += '\n';
         if (nl == std::string::npos)
             break;

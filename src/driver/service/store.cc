@@ -8,10 +8,12 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include <unistd.h>
 
 #include "driver/campaign/fingerprint.hh"
+#include "driver/report/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace fs = std::filesystem;
@@ -23,42 +25,37 @@ namespace {
 constexpr const char *kMagic = "tdmstore";
 constexpr unsigned kFormatVersion = 1;
 
-/** 17 significant digits: parses back bit-exactly (and "inf"/"nan"
- *  survive the round-trip through strtod). */
-std::string
-fmtDouble(double v)
+void
+putU64(std::string &out, std::string_view name, std::uint64_t v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    out += "f ";
+    out += name;
+    out += ' ';
+    out += std::to_string(v);
+    out += '\n';
+}
+
+/** Doubles use the exports' 17-digit formatter: they parse back
+ *  bit-exactly, and "inf"/"nan" survive the round-trip through
+ *  strtod. */
+void
+putF64(std::string &out, std::string_view name, double v)
+{
+    out += "f ";
+    out += name;
+    out += ' ';
+    report::appendDouble(out, v);
+    out += '\n';
 }
 
 void
-putU64(std::ostream &os, const char *name, std::uint64_t v)
-{
-    os << "f " << name << ' ' << v << '\n';
-}
-
-void
-putF64(std::ostream &os, const char *name, double v)
-{
-    os << "f " << name << ' ' << fmtDouble(v) << '\n';
-}
-
-void
-putPhases(std::ostream &os, const char *prefix,
+putPhases(std::string &out, const std::string &prefix,
           const cpu::PhaseBreakdown &p)
 {
-    std::ostringstream name;
-    for (const auto &[suffix, value] :
-         {std::pair<const char *, sim::Tick>{"deps", p.deps},
-          {"sched", p.sched},
-          {"exec", p.exec},
-          {"idle", p.idle}}) {
-        name.str("");
-        name << prefix << '.' << suffix;
-        putU64(os, name.str().c_str(), value);
-    }
+    putU64(out, prefix + ".deps", p.deps);
+    putU64(out, prefix + ".sched", p.sched);
+    putU64(out, prefix + ".exec", p.exec);
+    putU64(out, prefix + ".idle", p.idle);
 }
 
 /**
@@ -130,8 +127,7 @@ writeSummaryBlob(std::ostream &os, const std::string &key,
 {
     // The payload (everything between the header and the checksum
     // line) is built separately so the checksum can cover it.
-    std::ostringstream payload;
-    payload << "key " << key << '\n';
+    std::string payload = "key " + key + '\n';
 
     const core::MachineResult &m = summary.machine;
     putU64(payload, "completed", summary.completed ? 1 : 0);
@@ -159,17 +155,21 @@ writeSummaryBlob(std::ostream &os, const std::string &key,
     putF64(payload, "m.master_creation_fraction",
            m.masterCreationFraction);
 
-    payload << "metrics " << m.metrics.size() << '\n';
-    for (const auto &[k, v] : m.metrics.entries())
-        payload << "m " << k << ' ' << fmtDouble(v) << '\n';
+    payload += "metrics " + std::to_string(m.metrics.size()) + '\n';
+    for (const auto &[k, v] : m.metrics.entries()) {
+        payload += "m ";
+        payload += k;
+        payload += ' ';
+        report::appendDouble(payload, v);
+        payload += '\n';
+    }
 
-    const std::string body = payload.str();
     char digest[17];
     std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                  campaign::fnv1a64(body));
+                  campaign::fnv1a64(payload));
     os << kMagic << ' ' << kFormatVersion << " schema "
        << schema_version << '\n'
-       << body << "sum " << digest << '\n'
+       << payload << "sum " << digest << '\n'
        << "end\n";
 }
 

@@ -3,12 +3,19 @@
  * Campaign-engine tests: fingerprint canonicalization, multi-threaded
  * determinism against the sequential sweep path, cache-hit behavior on
  * duplicated points, error propagation, the built-in campaign registry
- * and the JSON/CSV writers.
+ * and the JSON/CSV writers with their shared number and string
+ * formatting.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -462,4 +469,110 @@ TEST(Report, CsvFieldQuotesPerRfc4180)
     // through unquoted).
     EXPECT_EQ(report::csvField("crlf\r\nlabel"), "\"crlf\r\nlabel\"");
     EXPECT_EQ(report::csvField("cr\ronly"), "\"cr\ronly\"");
+}
+
+namespace {
+
+std::string
+printf17g(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+std::string
+formatted(double v)
+{
+    std::string out;
+    report::appendDouble(out, v);
+    return out;
+}
+
+} // namespace
+
+TEST(Report, DoubleFormatterMatchesPrintf17g)
+{
+    const double pinned[] = {
+        0.0, -0.0, 1.0, -1.0, 42.0, 1e15, 1e16, 1e17, 123456789012345678.0,
+        0.1 + 0.2, 1.0 / 3.0, DBL_MAX, -DBL_MAX, DBL_MIN,
+        std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+        -std::numeric_limits<double>::denorm_min(), 9007199254740993.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (double v : pinned)
+        EXPECT_EQ(formatted(v), printf17g(v)) << printf17g(v);
+    for (std::int64_t i = -1000; i <= 1000; ++i)
+        EXPECT_EQ(formatted(static_cast<double>(i)),
+                  printf17g(static_cast<double>(i)));
+
+    // Seeded random bit patterns cover every exponent, subnormals,
+    // and (rarely) NaN payloads.
+    std::mt19937_64 rng(0x5eed);
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        if (formatted(v) != printf17g(v) && ++mismatches <= 5)
+            ADD_FAILURE() << "bits " << bits << ": " << formatted(v)
+                          << " vs " << printf17g(v);
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Report, JsonNumberRendersNonFiniteAsNull)
+{
+    for (double v : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+        std::string s;
+        report::jsonNumber(s, v);
+        std::ostringstream os;
+        report::jsonNumber(os, v);
+        EXPECT_EQ(s, "null");
+        EXPECT_EQ(os.str(), "null");
+    }
+    std::string s;
+    report::jsonNumber(s, 0.1);
+    EXPECT_EQ(s, "0.10000000000000001");
+}
+
+TEST(Report, JsonEscapeEveryByte)
+{
+    // '"' and '\\' get a backslash, \n \r \t their short escapes, the
+    // other control bytes \u00xx in lower-case hex; everything else,
+    // DEL and bytes >= 0x80 included, passes through.
+    std::string all, expectedAll;
+    for (int b = 0; b < 256; ++b) {
+        const char ch = static_cast<char>(b);
+        std::string expected;
+        if (ch == '"')
+            expected = "\\\"";
+        else if (ch == '\\')
+            expected = "\\\\";
+        else if (ch == '\n')
+            expected = "\\n";
+        else if (ch == '\r')
+            expected = "\\r";
+        else if (ch == '\t')
+            expected = "\\t";
+        else if (b < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", b);
+            expected = buf;
+        } else {
+            expected = std::string(1, ch);
+        }
+        EXPECT_EQ(report::jsonEscape(std::string(1, ch)), expected)
+            << "byte " << b;
+        all += ch;
+        all += "run";
+        expectedAll += expected + "run";
+    }
+    EXPECT_EQ(report::jsonEscape(all), expectedAll);
+    std::string appended = "prefix:";
+    report::jsonEscape(appended, all);
+    EXPECT_EQ(appended, "prefix:" + expectedAll);
 }

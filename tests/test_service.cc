@@ -4,8 +4,10 @@
  * validation, point-event round-trips) and the live server/client
  * stack — concurrent clients deduplicating onto one engine, a
  * cold-restarted server replaying a sweep entirely from its
- * persistent store with byte-identical metrics, and the connection
- * lifecycle: reaping, racing stops, and the request-line cap.
+ * persistent store with byte-identical metrics, the connection
+ * lifecycle: reaping, racing stops, and the request-line cap, and the
+ * transport: no-delay TCP sockets, unix sockets, and submits that
+ * carry only non-default spec keys.
  */
 
 #include <gtest/gtest.h>
@@ -16,15 +18,19 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "driver/campaign/engine.hh"
+#include "driver/campaign/fingerprint.hh"
 #include "driver/service/client.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/server.hh"
 #include "driver/service/store.hh"
 #include "driver/report/json_writer.hh"
+#include "driver/spec/campaign_file.hh"
 
 using namespace tdm;
 using namespace tdm::driver;
@@ -159,6 +165,83 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     EXPECT_EQ(decoded.summary.timeMs, job.summary.timeMs);
     EXPECT_EQ(decoded.summary.machine.metrics.entries(),
               job.summary.machine.metrics.entries());
+}
+
+namespace {
+
+/**
+ * Send @p c's points as ServiceClient::submit does (label plus
+ * specDelta of the canonical spec) and rebuild them as the server
+ * does (buildCampaign); every point must come back with its canonical
+ * spec. Returns {full spec bytes, sent spec bytes}.
+ */
+std::pair<std::size_t, std::size_t>
+expectDeltaRoundTrip(const campaign::Campaign &c)
+{
+    std::size_t fullBytes = 0, deltaBytes = 0;
+    svc::SubmitRequest req;
+    std::vector<std::string> canonical;
+    for (const SweepPoint &p : c.points) {
+        const sim::Config spec = campaign::canonicalConfig(p.exp);
+        canonical.push_back(spec.serialize());
+        svc::SubmitRequest::Point sent;
+        sent.label = p.label;
+        const sim::Config delta = svc::specDelta(spec);
+        sent.spec.assign(delta.entries().begin(), delta.entries().end());
+        for (const auto &[k, v] : spec.entries())
+            fullBytes += k.size() + v.size() + 6; // "k":"v",
+        for (const auto &[k, v] : sent.spec)
+            deltaBytes += k.size() + v.size() + 6;
+        req.points.push_back(std::move(sent));
+    }
+    const campaign::Campaign rebuilt = svc::buildCampaign(req);
+    EXPECT_EQ(rebuilt.points.size(), c.points.size());
+    for (std::size_t i = 0; i < rebuilt.points.size(); ++i)
+        EXPECT_EQ(campaign::canonicalConfig(rebuilt.points[i].exp)
+                      .serialize(),
+                  canonical[i])
+            << c.name << ": " << c.points[i].label;
+    return {fullBytes, deltaBytes};
+}
+
+} // namespace
+
+TEST(ServiceProtocol, SubmitSpecDeltaRebuildsEveryRegisteredCampaign)
+{
+    std::size_t full = 0, delta = 0, points = 0;
+    for (const auto &[name, desc] : campaign::campaignList()) {
+        const campaign::Campaign c = campaign::makeCampaign(name);
+        const auto [f, d] = expectDeltaRoundTrip(c);
+        full += f;
+        delta += d;
+        points += c.points.size();
+    }
+    EXPECT_GE(points, 222u);
+    // Most keys sit at their defaults, so the request shrinks by far
+    // more than an order of magnitude.
+    EXPECT_LT(delta * 10, full);
+}
+
+TEST(ServiceProtocol, SubmitSpecDeltaRebuildsZippedMeshGrid)
+{
+    // A zipped core-count/mesh axis: points whose mesh differs from
+    // the default's sit next to points whose cores do not.
+    std::istringstream text(
+        "[meta]\n"
+        "name = zipped\n"
+        "label = {workload}/c{machine.cores}/{runtime}"
+        "/l1_{mem.l1_bytes}/w{power.active_w}\n"
+        "set workload.seed = 1\n"
+        "axis workload = cholesky, qr, streamcluster\n"
+        "zip machine.cores, mesh.width, mesh.height = "
+        "8, 3, 3 | 16, 5, 5 | 32, 6, 6 | 64, 9, 9\n"
+        "axis runtime = sw, tdm\n"
+        "axis mem.l1_bytes = 16384, 65536\n"
+        "axis power.active_w = 0.6, 1.2\n");
+    const campaign::Campaign c =
+        spec::parseCampaignFile(text, "zipped").toCampaign();
+    ASSERT_EQ(c.points.size(), 96u);
+    expectDeltaRoundTrip(c);
 }
 
 // ---- live server/client --------------------------------------------------
@@ -483,4 +566,89 @@ TEST(ServiceLifecycle, ReadLineCapsBufferedBytes)
     EXPECT_FALSE(reader.readLine(line));
     EXPECT_TRUE(reader.lineTooLong());
     sender.join();
+}
+
+// ---- transport ---------------------------------------------------------
+
+namespace {
+
+int
+noDelay(const svc::Socket &sock)
+{
+    int value = -1;
+    socklen_t len = sizeof value;
+    if (::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len)
+        != 0)
+        return -1;
+    return value;
+}
+
+} // namespace
+
+TEST(ServiceTransport, TcpSocketsSendWithoutDelay)
+{
+    // Both ends: a reply's last partial segment must not wait for the
+    // peer's delayed ACK.
+    svc::Listener listener(svc::parseAddress("tcp:127.0.0.1:0"));
+    svc::Socket connected = svc::connectTo(listener.address());
+    svc::Socket accepted = listener.accept();
+    ASSERT_TRUE(accepted.valid());
+    EXPECT_EQ(noDelay(connected), 1);
+    EXPECT_EQ(noDelay(accepted), 1);
+}
+
+TEST(ServiceTransport, UnixSocketsConnectAndServe)
+{
+    const std::string path =
+        (fs::temp_directory_path()
+         / ("tdm_svc_unix_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    svc::ServerOptions opts;
+    opts.engine.threads = 1;
+    svc::CampaignServer server(svc::parseAddress("unix:" + path), opts);
+    std::thread serving([&] { server.serve(); });
+
+    svc::ServiceClient client("unix:" + path);
+    EXPECT_TRUE(client.ping());
+    const campaign::CampaignResult rep =
+        client.submit(grid("unix", {{"fifo4", point("fifo", 4)}}));
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    EXPECT_TRUE(rep.allOk());
+    EXPECT_EQ(rep.simulated, 1u);
+
+    server.stop();
+    serving.join();
+}
+
+TEST(ServiceTransport, ClientRefusesPointRunAsAnotherExperiment)
+{
+    // A server whose spec defaults differ from the client's would
+    // rebuild other experiments from the same non-default keys; the
+    // digest each point event carries gives it away.
+    svc::Listener listener(svc::parseAddress("tcp:127.0.0.1:0"));
+    std::thread fake([&] {
+        svc::Socket sock = listener.accept();
+        std::string line;
+        sock.readLine(line);
+        sock.sendAll(
+            "{\"event\":\"accepted\",\"id\":1,\"name\":\"x\","
+            "\"points\":1}\n"
+            "{\"event\":\"point\",\"id\":1,\"index\":0,\"total\":1,"
+            "\"label\":\"fifo4\",\"digest\":\"0000000000000000\","
+            "\"source\":\"simulated\",\"metrics\":{}}\n");
+        while (sock.readLine(line)) {
+        }
+    });
+    {
+        svc::ServiceClient client(listener.address().display());
+        try {
+            client.submit(grid("x", {{"fifo4", point("fifo", 4)}}));
+            ADD_FAILURE() << "a mismatched digest was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("0000000000000000"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    fake.join();
 }
