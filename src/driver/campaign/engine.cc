@@ -224,7 +224,7 @@ CampaignEngine::run(const std::string &name,
             continue;
         }
         if (auto hit = cache_.lookup(key)) {
-            job.summary = *hit;
+            job.summary = std::move(*hit);
             job.cacheHit = true;
             job.source = JobSource::Memory;
             markIncomplete(job);
@@ -234,7 +234,7 @@ CampaignEngine::run(const std::string &name,
         if (opts_.backend) {
             if (auto hit = opts_.backend->fetch(key)) {
                 cache_.store(key, *hit); // promote for the next lookup
-                job.summary = *hit;
+                job.summary = std::move(*hit);
                 job.cacheHit = true;
                 job.source = JobSource::Disk;
                 markIncomplete(job);
@@ -249,7 +249,7 @@ CampaignEngine::run(const std::string &name,
             // our lookup and our claim. Owners always store before
             // releasing, so a second lookup settles it.
             if (auto hit = cache_.lookup(key)) {
-                job.summary = *hit;
+                job.summary = std::move(*hit);
                 job.cacheHit = true;
                 job.source = JobSource::Memory;
                 markIncomplete(job);

@@ -1,8 +1,5 @@
 #include "driver/campaign/fingerprint.hh"
 
-#include <iomanip>
-#include <sstream>
-
 #include "driver/spec/spec.hh"
 
 namespace tdm::driver::campaign {
@@ -24,7 +21,7 @@ fingerprint(const Experiment &exp)
 }
 
 std::uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(std::string_view s)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned char ch : s) {
@@ -35,12 +32,18 @@ fnv1a64(const std::string &s)
 }
 
 std::string
-digestOfKey(const std::string &key)
+hex16(std::uint64_t h)
 {
-    std::ostringstream oss;
-    oss << std::hex << std::setw(16) << std::setfill('0')
-        << fnv1a64(key);
-    return oss.str();
+    std::string out(16, '0');
+    for (auto it = out.rbegin(); h != 0; ++it, h >>= 4)
+        *it = "0123456789abcdef"[h & 0xf];
+    return out;
+}
+
+std::string
+digestOfKey(std::string_view key)
+{
+    return hex16(fnv1a64(key));
 }
 
 std::string

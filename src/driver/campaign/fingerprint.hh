@@ -14,6 +14,7 @@
 #define TDM_DRIVER_CAMPAIGN_FINGERPRINT_HH
 
 #include <string>
+#include <string_view>
 
 #include "driver/experiment.hh"
 #include "sim/config.hh"
@@ -36,11 +37,15 @@ std::string fingerprint(const Experiment &exp);
 /** Short FNV-1a 64-bit hex digest of fingerprint(), for display. */
 std::string fingerprintDigest(const Experiment &exp);
 
-/** Zero-padded 16-char hex digest of an already-built fingerprint. */
-std::string digestOfKey(const std::string &key);
+/** Zero-padded 16-char hex digest of an already-built fingerprint:
+ *  hex16(fnv1a64(@p key)). */
+std::string digestOfKey(std::string_view key);
 
 /** FNV-1a 64-bit hash of an arbitrary string. */
-std::uint64_t fnv1a64(const std::string &s);
+std::uint64_t fnv1a64(std::string_view s);
+
+/** @p h as 16 zero-padded lowercase hex digits ("%016" PRIx64). */
+std::string hex16(std::uint64_t h);
 
 } // namespace tdm::driver::campaign
 

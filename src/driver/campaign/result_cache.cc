@@ -17,21 +17,28 @@ versionedKey(const std::string &key)
 std::optional<RunSummary>
 ResultCache::lookup(const std::string &key)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(versionedKey(key));
-    if (it == map_.end()) {
-        ++misses_;
-        return std::nullopt;
+    const std::string vkey = versionedKey(key);
+    std::shared_ptr<const RunSummary> hit;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = map_.find(vkey);
+        if (it == map_.end()) {
+            ++misses_;
+            return std::nullopt;
+        }
+        ++hits_;
+        hit = it->second;
     }
-    ++hits_;
-    return it->second;
+    return *hit;
 }
 
 void
 ResultCache::store(const std::string &key, const RunSummary &summary)
 {
+    std::string vkey = versionedKey(key);
+    auto entry = std::make_shared<const RunSummary>(summary);
     std::lock_guard<std::mutex> lock(mutex_);
-    map_[versionedKey(key)] = summary;
+    map_.insert_or_assign(std::move(vkey), std::move(entry));
 }
 
 std::size_t

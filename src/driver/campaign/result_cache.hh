@@ -10,6 +10,7 @@
 #ifndef TDM_DRIVER_CAMPAIGN_RESULT_CACHE_HH
 #define TDM_DRIVER_CAMPAIGN_RESULT_CACHE_HH
 
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -76,7 +77,10 @@ class ResultCache
 
   private:
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, RunSummary> map_;
+    /** Entries are immutable and shared, so lookup and store copy a
+     *  summary outside the lock. */
+    std::unordered_map<std::string, std::shared_ptr<const RunSummary>>
+        map_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -75,10 +75,14 @@ CampaignRegistry::point(std::uint64_t id,
     p.timeMs = job.summary.timeMs;
     p.wallMs = job.wallMs;
     p.doneAtMs = job.doneAtMs;
-    const sim::MetricSet selected =
-        job.summary.metrics().select(rec->metricsPattern);
-    p.metrics.assign(selected.entries().begin(),
-                     selected.entries().end());
+    // An empty pattern selects the whole tree: copy it straight from
+    // the summary rather than through select().
+    sim::MetricSet selected;
+    const sim::MetricSet &metrics =
+        rec->metricsPattern.empty()
+            ? job.summary.metrics()
+            : (selected = job.summary.metrics().select(rec->metricsPattern));
+    p.metrics.assign(metrics.entries().begin(), metrics.entries().end());
     if (!p.ok)
         ++rec->failures;
     switch (job.source) {

@@ -47,8 +47,14 @@ struct BusEvent
 class ProgressBus
 {
   public:
-    /** Default per-subscriber queue bound (events, not bytes). */
-    static constexpr std::size_t kDefaultQueueCap = 256;
+    /**
+     * Default per-subscriber queue bound (events, not bytes). It must
+     * absorb a subscriber's scheduling stall: a busy server publishes
+     * about 7,000 events/s (two per point), so 1024 events hold about
+     * 150 ms; at 8–10 KB a point event, a stalled subscriber holds
+     * about 10 MB at most.
+     */
+    static constexpr std::size_t kDefaultQueueCap = 1024;
 
     /**
      * One subscriber's bounded queue. Obtained from subscribe();

@@ -244,11 +244,9 @@ class JsonReader
                 return true;
             }
             while (true) {
-                JsonValue item;
                 skipWs();
-                if (!value(item, depth + 1))
+                if (!value(out.items.emplace_back(), depth + 1))
                     return false;
-                out.items.push_back(std::move(item));
                 skipWs();
                 if (pos_ >= s_.size())
                     return fail("unterminated array");
@@ -273,7 +271,9 @@ class JsonReader
             }
             while (true) {
                 skipWs();
-                std::string key;
+                // Each member parses in its final slot: no temporary
+                // key and value to move per member.
+                auto &[key, member] = out.members.emplace_back();
                 if (!string(key))
                     return false;
                 skipWs();
@@ -281,11 +281,8 @@ class JsonReader
                     return fail("expected ':'");
                 ++pos_;
                 skipWs();
-                JsonValue member;
                 if (!value(member, depth + 1))
                     return false;
-                out.members.emplace_back(std::move(key),
-                                         std::move(member));
                 skipWs();
                 if (pos_ >= s_.size())
                     return fail("unterminated object");
@@ -806,10 +803,11 @@ decodePointEvent(const JsonValue &event, campaign::JobResult &job,
     s.machine.edp = s.edp;
     s.machine.avgWatts = s.avgWatts;
 
+    // writePoint emits the metrics in key order: hinted inserts.
     for (const auto &[k, v] : metrics->members) {
         if (!v.isNumber())
             return false;
-        s.machine.metrics.set(k, v.number);
+        s.machine.metrics.append(k, v.number);
     }
     return true;
 }

@@ -161,12 +161,14 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
     // may be attached to them) — we just stop streaming. The point
     // JSON is rendered once and shared by the socket and the bus, so
     // a dashboard sees the exact bytes the client got. The engine
-    // serializes the callbacks, so one line buffer serves them all.
+    // serializes the callbacks, so one line buffer (and one progress
+    // buffer) serves them all.
     bool sendOk = true;
     const std::string metricsPattern = c.metrics;
     std::uint64_t bySource[5] = {0, 0, 0, 0, 0};
     std::size_t doneCount = 0;
     std::string line;
+    std::string progress;
     const campaign::CampaignResult result = engine_->run(
         c, [&](const campaign::JobResult &job, std::size_t index,
                std::size_t total) {
@@ -191,20 +193,25 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
                     ? elapsed / static_cast<double>(doneCount) *
                           static_cast<double>(total - doneCount)
                     : 0.0;
-            std::ostringstream pr;
-            pr << "{\"id\":" << id << ",\"done\":" << doneCount
-               << ",\"total\":" << total
-               << ",\"served\":{\"simulated\":" << bySource[0]
-               << ",\"memory\":" << bySource[1]
-               << ",\"disk\":" << bySource[2]
-               << ",\"inflight\":" << bySource[3]
-               << ",\"forked\":" << bySource[4]
-               << "},\"elapsed_ms\":";
-            report::jsonNumber(pr, elapsed);
-            pr << ",\"eta_ms\":";
-            report::jsonNumber(pr, eta);
-            pr << "}";
-            bus_->publish("progress", pr.str());
+            progress.clear();
+            const auto count = [&](const char *prefix, std::uint64_t v) {
+                progress += prefix;
+                progress += std::to_string(v);
+            };
+            count("{\"id\":", id);
+            count(",\"done\":", doneCount);
+            count(",\"total\":", total);
+            count(",\"served\":{\"simulated\":", bySource[0]);
+            count(",\"memory\":", bySource[1]);
+            count(",\"disk\":", bySource[2]);
+            count(",\"inflight\":", bySource[3]);
+            count(",\"forked\":", bySource[4]);
+            progress += "},\"elapsed_ms\":";
+            report::jsonNumber(progress, elapsed);
+            progress += ",\"eta_ms\":";
+            report::jsonNumber(progress, eta);
+            progress += '}';
+            bus_->publish("progress", progress);
         });
 
     {

@@ -1,15 +1,18 @@
 #include "driver/service/store.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <array>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "driver/campaign/fingerprint.hh"
@@ -22,101 +25,343 @@ namespace tdm::driver::service {
 
 namespace {
 
-constexpr const char *kMagic = "tdmstore";
+constexpr std::string_view kMagic = "tdmstore";
 constexpr unsigned kFormatVersion = 1;
 
-void
-putU64(std::string &out, std::string_view name, std::uint64_t v)
+/** The integers a blob carries wider than RunSummary keeps them: two
+ *  completion flags and the 32-bit task count travel as u64 fields. */
+struct WideFields
 {
-    out += "f ";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
+    std::uint64_t completed = 0;
+    std::uint64_t mCompleted = 0;
+    std::uint64_t numTasks = 0;
+};
+
+/**
+ * The blob's scalar fields, one row each, in the order the writer
+ * emits them. Each row points into @p s (or @p w), so the writer reads
+ * and the reader assigns through the same table; a const summary
+ * yields const pointers. Every field must appear exactly once in a
+ * blob or the load is rejected.
+ */
+template <class Summary, class Wide>
+auto
+fieldTable(Summary &s, Wide &w)
+{
+    constexpr bool kConst = std::is_const_v<Summary>;
+    using U64 = std::conditional_t<kConst, const std::uint64_t,
+                                   std::uint64_t>;
+    using F64 = std::conditional_t<kConst, const double, double>;
+    struct Row
+    {
+        std::string_view name;
+        U64 *u64; ///< exactly one of u64 and f64 is set
+        F64 *f64;
+    };
+    const auto u = [](std::string_view n, U64 &v) {
+        return Row{n, &v, nullptr};
+    };
+    const auto d = [](std::string_view n, F64 &v) {
+        return Row{n, nullptr, &v};
+    };
+    auto &m = s.machine;
+    return std::array{
+        u("completed", w.completed),
+        u("makespan", s.makespan),
+        d("time_ms", s.timeMs),
+        d("energy_j", s.energyJ),
+        d("edp", s.edp),
+        d("avg_watts", s.avgWatts),
+        u("num_tasks", w.numTasks),
+        d("avg_task_us", s.avgTaskUs),
+        u("m.completed", w.mCompleted),
+        u("m.makespan", m.makespan),
+        d("m.time_ms", m.timeMs),
+        u("m.master.deps", m.master.deps),
+        u("m.master.sched", m.master.sched),
+        u("m.master.exec", m.master.exec),
+        u("m.master.idle", m.master.idle),
+        u("m.workers.deps", m.workersTotal.deps),
+        u("m.workers.sched", m.workersTotal.sched),
+        u("m.workers.exec", m.workersTotal.exec),
+        u("m.workers.idle", m.workersTotal.idle),
+        u("m.chip.deps", m.chipTotal.deps),
+        u("m.chip.sched", m.chipTotal.sched),
+        u("m.chip.exec", m.chipTotal.exec),
+        u("m.chip.idle", m.chipTotal.idle),
+        d("m.energy_j", m.energyJ),
+        d("m.edp", m.edp),
+        d("m.avg_watts", m.avgWatts),
+        u("m.tasks_executed", m.tasksExecuted),
+        u("m.dmu_blocked_ops", m.dmuBlockedOps),
+        u("m.dmu_accesses", m.dmuAccesses),
+        d("m.dat_avg_occupied_sets", m.datAvgOccupiedSets),
+        u("m.steals", m.steals),
+        d("m.master_creation_fraction", m.masterCreationFraction),
+    };
 }
 
-/** Doubles use the exports' 17-digit formatter: they parse back
- *  bit-exactly, and "inf"/"nan" survive the round-trip through
- *  strtod. */
+/** Append one blob to @p out (see writeSummaryBlob). */
 void
-putF64(std::string &out, std::string_view name, double v)
+appendSummaryBlob(std::string &out, std::string_view key,
+                  const RunSummary &summary, unsigned schema_version)
 {
-    out += "f ";
-    out += name;
+    out += kMagic;
     out += ' ';
-    report::appendDouble(out, v);
+    out += std::to_string(kFormatVersion);
+    out += " schema ";
+    out += std::to_string(schema_version);
     out += '\n';
+    // The payload runs from here to the checksum line, which covers it.
+    const std::size_t payloadStart = out.size();
+    out += "key ";
+    out += key;
+    out += '\n';
+
+    const WideFields w{summary.completed ? 1u : 0u,
+                       summary.machine.completed ? 1u : 0u,
+                       summary.numTasks};
+    char num[20];
+    for (const auto &row : fieldTable(summary, w)) {
+        out += "f ";
+        out += row.name;
+        out += ' ';
+        // Doubles use the exports' 17-digit formatter: they parse back
+        // bit-exactly, and "inf"/"nan" survive the round trip.
+        if (row.u64)
+            out.append(num, std::to_chars(num, num + sizeof num,
+                                          *row.u64).ptr);
+        else
+            report::appendDouble(out, *row.f64);
+        out += '\n';
+    }
+
+    const sim::MetricSet &metrics = summary.metrics();
+    out += "metrics ";
+    out += std::to_string(metrics.size());
+    out += '\n';
+    for (const auto &[k, v] : metrics.entries()) {
+        out += "m ";
+        out += k;
+        out += ' ';
+        report::appendDouble(out, v);
+        out += '\n';
+    }
+
+    const std::string sum = campaign::hex16(
+        campaign::fnv1a64(std::string_view(out).substr(payloadStart)));
+    out += "sum ";
+    out += sum;
+    out += "\nend\n";
 }
 
-void
-putPhases(std::string &out, const std::string &prefix,
-          const cpu::PhaseBreakdown &p)
+/** The characters operator>> treats as separators (classic locale). */
+bool
+isSpace(char c)
 {
-    putU64(out, prefix + ".deps", p.deps);
-    putU64(out, prefix + ".sched", p.sched);
-    putU64(out, prefix + ".exec", p.exec);
-    putU64(out, prefix + ".idle", p.idle);
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+           c == '\f' || c == '\r';
+}
+
+/** Next whitespace-delimited token of @p line at or after @p pos (what
+ *  operator>> into a string extracts); empty at the end of the line. */
+std::string_view
+nextToken(std::string_view line, std::size_t &pos)
+{
+    while (pos < line.size() && isSpace(line[pos]))
+        ++pos;
+    const std::size_t start = pos;
+    while (pos < line.size() && !isSpace(line[pos]))
+        ++pos;
+    return line.substr(start, pos - start);
+}
+
+/** A header version or a metric count: plain decimal digits only. */
+bool
+parseCount(std::string_view tok, std::uint64_t &out)
+{
+    const char *last = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), last, out);
+    return ec == std::errc{} && ptr == last;
 }
 
 /**
- * Field accessor table: one row per scalar RunSummary field, shared by
- * the writer (via the blob layout above) and the reader. Every field
- * must appear exactly once in a blob or the load is rejected.
+ * A field or metric value, @p T being std::uint64_t or double.
+ * from_chars takes the plain numbers the writer emits; whatever it
+ * declines (a sign, a hex float, an out-of-range value) goes on to
+ * strtoull/strtod over the token's C string, so every spelling those
+ * accept still reads.
  */
-struct FieldRef
+template <class T>
+bool
+parseValue(std::string_view tok, T &out)
 {
-    enum Kind { U64, F64 } kind;
-    // Exactly one of these is meaningful per row.
-    std::uint64_t *u64;
-    double *f64;
-};
+    const char *last = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), last, out);
+    if (ec == std::errc{} && ptr == last)
+        return true;
+    const std::string text(tok);
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_same_v<T, double>) {
+        out = std::strtod(text.c_str(), &end);
+    } else {
+        out = std::strtoull(text.c_str(), &end, 10);
+        if (errno != 0)
+            return false; // out of range
+    }
+    return end != text.c_str() && *end == '\0';
+}
 
-std::map<std::string, FieldRef>
-fieldTable(RunSummary &s, std::uint64_t &completed,
-           std::uint64_t &mCompleted, std::uint64_t &numTasks)
+/**
+ * Parse one blob held in memory, in one pass over its lines. On
+ * success @p key_out views the key inside @p bytes. See
+ * readSummaryBlob for what is rejected.
+ */
+bool
+parseSummaryBlob(std::string_view bytes, std::string_view &key_out,
+                 RunSummary &summary_out, unsigned schema_version)
 {
-    std::map<std::string, FieldRef> t;
-    auto u = [&](const char *n, std::uint64_t &v) {
-        t[n] = {FieldRef::U64, &v, nullptr};
+    std::size_t pos = 0;
+    // The next line without its '\n'. Like std::getline, the last line
+    // needs no '\n', and nothing after a final '\n' is a line.
+    const auto nextLine = [&](std::string_view &line) {
+        if (pos >= bytes.size())
+            return false;
+        const std::size_t nl = bytes.find('\n', pos);
+        const std::size_t end = nl == std::string_view::npos ? bytes.size()
+                                                             : nl;
+        line = bytes.substr(pos, end - pos);
+        pos = end == bytes.size() ? end : end + 1;
+        return true;
     };
-    auto d = [&](const char *n, double &v) {
-        t[n] = {FieldRef::F64, nullptr, &v};
-    };
-    u("completed", completed);
-    u("makespan", s.makespan);
-    d("time_ms", s.timeMs);
-    d("energy_j", s.energyJ);
-    d("edp", s.edp);
-    d("avg_watts", s.avgWatts);
-    u("num_tasks", numTasks);
-    d("avg_task_us", s.avgTaskUs);
 
-    core::MachineResult &m = s.machine;
-    u("m.completed", mCompleted);
-    u("m.makespan", m.makespan);
-    d("m.time_ms", m.timeMs);
-    u("m.master.deps", m.master.deps);
-    u("m.master.sched", m.master.sched);
-    u("m.master.exec", m.master.exec);
-    u("m.master.idle", m.master.idle);
-    u("m.workers.deps", m.workersTotal.deps);
-    u("m.workers.sched", m.workersTotal.sched);
-    u("m.workers.exec", m.workersTotal.exec);
-    u("m.workers.idle", m.workersTotal.idle);
-    u("m.chip.deps", m.chipTotal.deps);
-    u("m.chip.sched", m.chipTotal.sched);
-    u("m.chip.exec", m.chipTotal.exec);
-    u("m.chip.idle", m.chipTotal.idle);
-    d("m.energy_j", m.energyJ);
-    d("m.edp", m.edp);
-    d("m.avg_watts", m.avgWatts);
-    u("m.tasks_executed", m.tasksExecuted);
-    u("m.dmu_blocked_ops", m.dmuBlockedOps);
-    u("m.dmu_accesses", m.dmuAccesses);
-    d("m.dat_avg_occupied_sets", m.datAvgOccupiedSets);
-    u("m.steals", m.steals);
-    d("m.master_creation_fraction", m.masterCreationFraction);
-    return t;
+    std::string_view line;
+    if (!nextLine(line))
+        return false;
+    {
+        std::size_t p = 0;
+        std::uint64_t format = 0, schema = 0;
+        if (nextToken(line, p) != kMagic ||
+            !parseCount(nextToken(line, p), format) ||
+            format != kFormatVersion || nextToken(line, p) != "schema" ||
+            !parseCount(nextToken(line, p), schema) ||
+            schema != schema_version)
+            return false;
+    }
+
+    const std::size_t payloadStart = pos;
+    RunSummary s;
+    WideFields w;
+    const auto fields = fieldTable(s, w);
+    constexpr std::size_t kFields = std::tuple_size_v<decltype(fields)>;
+    static_assert(kFields < 64, "one bit per field in `seen`");
+    std::uint64_t seen = 0; // bit i: fields[i] assigned
+    std::size_t nextField = 0; // the writer's order: usually a match
+    std::string_view key;
+    bool haveKey = false;
+    std::uint64_t metricsExpected = 0, metricsSeen = 0;
+    bool inMetrics = false;
+
+    for (;;) {
+        const std::size_t lineStart = pos;
+        if (!nextLine(line))
+            return false; // truncated: no sum/end trailer
+        if (line.substr(0, 4) == "sum ") {
+            if (line.substr(4) !=
+                campaign::hex16(campaign::fnv1a64(bytes.substr(
+                    payloadStart, lineStart - payloadStart))))
+                return false;
+            if (!haveKey || seen != (std::uint64_t{1} << kFields) - 1 ||
+                metricsSeen != metricsExpected)
+                return false;
+            if (!nextLine(line) || line != "end")
+                return false;
+            if (w.numTasks > UINT32_MAX)
+                return false;
+            s.completed = w.completed != 0;
+            s.machine.completed = w.mCompleted != 0;
+            s.numTasks = static_cast<std::uint32_t>(w.numTasks);
+            key_out = key;
+            summary_out = std::move(s);
+            return true;
+        }
+
+        std::size_t p = 0;
+        const std::string_view tag = nextToken(line, p);
+        if (tag == "m") {
+            const std::string_view name = nextToken(line, p);
+            const std::string_view value = nextToken(line, p);
+            double v = 0.0;
+            if (!inMetrics || value.empty() || !parseValue(value, v))
+                return false;
+            s.machine.metrics.append(std::string(name), v);
+            ++metricsSeen;
+        } else if (tag == "f") {
+            const std::string_view name = nextToken(line, p);
+            const std::string_view value = nextToken(line, p);
+            if (inMetrics || value.empty())
+                return false;
+            std::size_t i = nextField;
+            if (i >= kFields || fields[i].name != name) {
+                i = 0;
+                while (i < kFields && fields[i].name != name)
+                    ++i;
+            }
+            const std::uint64_t bit = std::uint64_t{1} << i;
+            if (i == kFields || (seen & bit) != 0)
+                return false; // unknown or repeated field
+            if (fields[i].u64 ? !parseValue(value, *fields[i].u64)
+                              : !parseValue(value, *fields[i].f64))
+                return false;
+            seen |= bit;
+            nextField = i + 1;
+        } else if (tag == "key") {
+            if (haveKey || inMetrics)
+                return false;
+            // The key is the rest of the line after the first space,
+            // spaces included.
+            const std::size_t sp = line.find(' ');
+            if (sp == std::string_view::npos || sp + 1 >= line.size())
+                return false;
+            key = line.substr(sp + 1);
+            haveKey = true;
+        } else if (tag == "metrics") {
+            if (inMetrics ||
+                !parseCount(nextToken(line, p), metricsExpected))
+                return false;
+            inMetrics = true;
+        } else {
+            return false;
+        }
+    }
+}
+
+/** Whole contents of the file at @p path; false when it cannot be
+ *  opened or read. */
+bool
+readWholeFile(const std::string &path, std::string &out)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    out.clear();
+    char buf[16384];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0 || (n < 0 && errno == EINTR))
+        if (n > 0)
+            out.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    return n == 0;
+}
+
+/** 16 lowercase hex digits: the only names the store browser reads. */
+bool
+isDigest(const std::string &digest)
+{
+    return digest.size() == 16 &&
+           digest.find_first_not_of("0123456789abcdef") ==
+               std::string::npos;
 }
 
 } // namespace
@@ -125,168 +370,22 @@ void
 writeSummaryBlob(std::ostream &os, const std::string &key,
                  const RunSummary &summary, unsigned schema_version)
 {
-    // The payload (everything between the header and the checksum
-    // line) is built separately so the checksum can cover it.
-    std::string payload = "key " + key + '\n';
-
-    const core::MachineResult &m = summary.machine;
-    putU64(payload, "completed", summary.completed ? 1 : 0);
-    putU64(payload, "makespan", summary.makespan);
-    putF64(payload, "time_ms", summary.timeMs);
-    putF64(payload, "energy_j", summary.energyJ);
-    putF64(payload, "edp", summary.edp);
-    putF64(payload, "avg_watts", summary.avgWatts);
-    putU64(payload, "num_tasks", summary.numTasks);
-    putF64(payload, "avg_task_us", summary.avgTaskUs);
-    putU64(payload, "m.completed", m.completed ? 1 : 0);
-    putU64(payload, "m.makespan", m.makespan);
-    putF64(payload, "m.time_ms", m.timeMs);
-    putPhases(payload, "m.master", m.master);
-    putPhases(payload, "m.workers", m.workersTotal);
-    putPhases(payload, "m.chip", m.chipTotal);
-    putF64(payload, "m.energy_j", m.energyJ);
-    putF64(payload, "m.edp", m.edp);
-    putF64(payload, "m.avg_watts", m.avgWatts);
-    putU64(payload, "m.tasks_executed", m.tasksExecuted);
-    putU64(payload, "m.dmu_blocked_ops", m.dmuBlockedOps);
-    putU64(payload, "m.dmu_accesses", m.dmuAccesses);
-    putF64(payload, "m.dat_avg_occupied_sets", m.datAvgOccupiedSets);
-    putU64(payload, "m.steals", m.steals);
-    putF64(payload, "m.master_creation_fraction",
-           m.masterCreationFraction);
-
-    payload += "metrics " + std::to_string(m.metrics.size()) + '\n';
-    for (const auto &[k, v] : m.metrics.entries()) {
-        payload += "m ";
-        payload += k;
-        payload += ' ';
-        report::appendDouble(payload, v);
-        payload += '\n';
-    }
-
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                  campaign::fnv1a64(payload));
-    os << kMagic << ' ' << kFormatVersion << " schema "
-       << schema_version << '\n'
-       << payload << "sum " << digest << '\n'
-       << "end\n";
+    std::string out;
+    appendSummaryBlob(out, key, summary, schema_version);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 bool
 readSummaryBlob(std::istream &is, std::string &key_out,
                 RunSummary &summary_out, unsigned schema_version)
 {
-    std::string line;
-    if (!std::getline(is, line))
+    const std::string bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    std::string_view key;
+    if (!parseSummaryBlob(bytes, key, summary_out, schema_version))
         return false;
-    {
-        std::istringstream header(line);
-        std::string magic, schemaWord;
-        unsigned format = 0, schema = 0;
-        if (!(header >> magic >> format >> schemaWord >> schema) ||
-            magic != kMagic || format != kFormatVersion ||
-            schemaWord != "schema" || schema != schema_version)
-            return false;
-    }
-
-    std::ostringstream body;
-    RunSummary s;
-    std::uint64_t completed = 0, mCompleted = 0, numTasks = 0;
-    auto fields = fieldTable(s, completed, mCompleted, numTasks);
-    const std::size_t fieldsExpected = fields.size();
-    std::size_t fieldsSeen = 0;
-    std::string key;
-    bool haveKey = false;
-    std::size_t metricsExpected = 0, metricsSeen = 0;
-    bool inMetrics = false;
-
-    while (std::getline(is, line)) {
-        if (line.rfind("sum ", 0) == 0) {
-            char digest[17];
-            std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                          campaign::fnv1a64(body.str()));
-            if (line.substr(4) != digest)
-                return false;
-            // Everything present and accounted for? (fields shrinks
-            // as names are consumed, so compare against the original
-            // count.)
-            if (!haveKey || fieldsSeen != fieldsExpected ||
-                metricsSeen != metricsExpected)
-                return false;
-            if (!std::getline(is, line) || line != "end")
-                return false;
-            s.completed = completed != 0;
-            s.machine.completed = mCompleted != 0;
-            if (numTasks > UINT32_MAX)
-                return false;
-            s.numTasks = static_cast<std::uint32_t>(numTasks);
-            key_out = key;
-            summary_out = s;
-            return true;
-        }
-        body << line << '\n';
-
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag))
-            return false;
-        if (tag == "key") {
-            if (haveKey || inMetrics)
-                return false;
-            // The key is the remainder of the line, spaces included.
-            const auto pos = line.find(' ');
-            if (pos == std::string::npos || pos + 1 >= line.size())
-                return false;
-            key = line.substr(pos + 1);
-            haveKey = true;
-        } else if (tag == "f") {
-            if (inMetrics)
-                return false;
-            std::string name, value;
-            if (!(ls >> name >> value))
-                return false;
-            auto it = fields.find(name);
-            if (it == fields.end())
-                return false;
-            char *endp = nullptr;
-            if (it->second.kind == FieldRef::U64) {
-                errno = 0;
-                const std::uint64_t v =
-                    std::strtoull(value.c_str(), &endp, 10);
-                if (errno != 0 || endp == value.c_str() || *endp)
-                    return false;
-                *it->second.u64 = v;
-            } else {
-                const double v = std::strtod(value.c_str(), &endp);
-                if (endp == value.c_str() || *endp)
-                    return false;
-                *it->second.f64 = v;
-            }
-            // Reject duplicate assignments of the same field.
-            fields.erase(it);
-            ++fieldsSeen;
-        } else if (tag == "metrics") {
-            if (inMetrics || !(ls >> metricsExpected))
-                return false;
-            inMetrics = true;
-        } else if (tag == "m") {
-            if (!inMetrics)
-                return false;
-            std::string name, value;
-            if (!(ls >> name >> value))
-                return false;
-            char *endp = nullptr;
-            const double v = std::strtod(value.c_str(), &endp);
-            if (endp == value.c_str() || *endp)
-                return false;
-            s.machine.metrics.set(name, v);
-            ++metricsSeen;
-        } else {
-            return false;
-        }
-    }
-    return false; // truncated: EOF before the sum/end trailer
+    key_out.assign(key);
+    return true;
 }
 
 ResultStore::ResultStore(const std::string &dir,
@@ -323,7 +422,7 @@ ResultStore::scanIndex()
         const std::uintmax_t size = it->file_size(sizeEc);
         const std::uint64_t bytes =
             sizeEc ? 0 : static_cast<std::uint64_t>(size);
-        index_.emplace(name.substr(0, 16), bytes);
+        index_.emplace(name.substr(0, 16), Blob{bytes, 0});
         bytes_ += bytes;
     }
 }
@@ -344,60 +443,84 @@ std::optional<RunSummary>
 ResultStore::fetch(const std::string &key)
 {
     const std::string digest = campaign::digestOfKey(key);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.find(digest) == index_.end()) {
-        ++misses_;
-        return std::nullopt;
-    }
-    std::ifstream in(fs::path(versionDir_) / (digest + ".result"));
-    std::string storedKey;
-    RunSummary summary;
-    if (!in || !readSummaryBlob(in, storedKey, summary,
-                                schemaVersion_)) {
-        // Unreadable or damaged blob: drop it from the index and treat
-        // as a miss — the engine re-simulates and re-publishes.
-        ++corrupt_;
-        ++misses_;
-        if (auto it = index_.find(digest); it != index_.end()) {
-            bytes_ -= it->second;
-            index_.erase(it);
+    std::uint64_t generation = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = index_.find(digest);
+        if (it == index_.end()) {
+            ++misses_;
+            return std::nullopt;
         }
+        generation = it->second.generation;
+    }
+    // Read and parse outside the lock: blobs are only ever created
+    // whole (atomic rename), so this sees a complete file or none.
+    std::string bytes;
+    std::string_view storedKey;
+    std::optional<RunSummary> summary(std::in_place);
+    const bool intact =
+        readWholeFile(pathForDigest(digest), bytes) &&
+        parseSummaryBlob(bytes, storedKey, *summary, schemaVersion_);
+    // A digest collision with a different spec is a miss, not an
+    // error: the blob itself is intact, so it stays indexed.
+    if (!intact || storedKey != key)
+        summary.reset();
+
+    bool dropped = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (summary) {
+            ++hits_;
+            return summary;
+        }
+        ++misses_;
+        // Unreadable or damaged blob: drop it from the index and treat
+        // it as a miss; the engine re-simulates and re-publishes. Only
+        // the entry this fetch looked up is dropped: concurrent fetches
+        // of the same damage count it once, and an entry a publish has
+        // indexed since is left alone.
+        const auto it = index_.find(digest);
+        if (!intact && it != index_.end() &&
+            it->second.generation == generation) {
+            bytes_ -= it->second.bytes;
+            index_.erase(it);
+            ++corrupt_;
+            dropped = true;
+        }
+    }
+    if (dropped)
         sim::warn("result store: corrupt blob for ", digest,
                   " ignored (will re-simulate)");
-        return std::nullopt;
-    }
-    if (storedKey != key) {
-        // Digest collision with a different spec: a miss, not an
-        // error. (The blob itself is intact, so keep it indexed.)
-        ++misses_;
-        return std::nullopt;
-    }
-    ++hits_;
-    return summary;
+    return std::nullopt;
 }
 
 void
 ResultStore::publish(const std::string &key, const RunSummary &summary)
 {
     const std::string digest = campaign::digestOfKey(key);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.count(digest))
-        return; // already persisted (results are pure in their key)
+    std::uint64_t seq = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (index_.count(digest))
+            return; // already persisted (results are pure in their key)
+        seq = tmpSeq_++;
+    }
 
-    // Unique temp name in the same directory, then an atomic rename:
-    // concurrent readers only ever see absent or complete blobs.
+    // Render and write outside the lock. A unique temp name in the
+    // same directory, then an atomic rename: concurrent readers only
+    // ever see absent or complete blobs, and two racing publishers of
+    // one key write identical bytes.
     const std::string tmpName = digest + ".tmp." +
                                 std::to_string(::getpid()) + "." +
-                                std::to_string(tmpSeq_++);
+                                std::to_string(seq);
     const fs::path tmpPath = fs::path(versionDir_) / tmpName;
     const fs::path finalPath =
         fs::path(versionDir_) / (digest + ".result");
-    // Render first so the on-disk byte size is known for the stats
-    // accounting (and a serialization problem never leaves a torn
-    // temp file).
-    std::ostringstream blob;
-    writeSummaryBlob(blob, key, summary, schemaVersion_);
-    const std::string bytes = blob.str();
+    // Rendered first, so the on-disk byte size is known for the stats
+    // accounting and a serialization problem never leaves a torn temp
+    // file.
+    std::string bytes;
+    appendSummaryBlob(bytes, key, summary, schemaVersion_);
     {
         std::ofstream out(tmpPath,
                           std::ios::binary | std::ios::trunc);
@@ -420,12 +543,14 @@ ResultStore::publish(const std::string &key, const RunSummary &summary)
         fs::remove(tmpPath, ec);
         return;
     }
-    // The early count() check makes a duplicate unlikely, but another
-    // writer sharing this directory could have indexed the digest via
-    // a rescan — never double-count its bytes.
-    if (index_.emplace(digest, bytes.size()).second)
+    // A racing publisher of the same key may have indexed it first;
+    // count the blob once.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (index_.emplace(digest, Blob{bytes.size(), ++generation_})
+            .second) {
         bytes_ += bytes.size();
-    ++stores_;
+        ++stores_;
+    }
 }
 
 std::size_t
@@ -481,7 +606,11 @@ std::vector<std::pair<std::string, std::uint64_t>>
 ResultStore::list() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return {index_.begin(), index_.end()};
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    out.reserve(index_.size());
+    for (const auto &[digest, blob] : index_)
+        out.emplace_back(digest, blob.bytes);
+    return out;
 }
 
 bool
@@ -489,34 +618,23 @@ ResultStore::loadByDigest(const std::string &digest,
                           std::string &key_out,
                           RunSummary &summary_out) const
 {
-    if (digest.size() != 16 ||
-        digest.find_first_not_of("0123456789abcdef")
-            != std::string::npos)
-        return false;
     // No lock: blobs are only ever created whole (atomic rename), so
     // reading outside the index mutex sees absent or complete files.
-    std::ifstream in(pathForDigest(digest), std::ios::binary);
-    if (!in)
+    std::string bytes;
+    std::string_view key;
+    if (!isDigest(digest) || !readWholeFile(pathForDigest(digest), bytes) ||
+        !parseSummaryBlob(bytes, key, summary_out, schemaVersion_))
         return false;
-    return readSummaryBlob(in, key_out, summary_out, schemaVersion_);
+    key_out.assign(key);
+    return true;
 }
 
 bool
 ResultStore::readRawBlob(const std::string &digest,
                          std::string &bytes_out) const
 {
-    if (digest.size() != 16 ||
-        digest.find_first_not_of("0123456789abcdef")
-            != std::string::npos)
-        return false;
-    std::ifstream in(pathForDigest(digest), std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    bytes_out = os.str();
-    return true;
+    return isDigest(digest) &&
+           readWholeFile(pathForDigest(digest), bytes_out);
 }
 
 } // namespace tdm::driver::service
-

@@ -71,8 +71,10 @@ void writeSummaryBlob(std::ostream &os, const std::string &key,
 
 /**
  * Parse one store blob. Returns false (leaving outputs unspecified) on
- * any structural damage: bad header, wrong schema, unknown or missing
- * field, checksum mismatch, or missing end marker. Exposed for tests.
+ * any structural damage: bad header, wrong schema, unknown, missing or
+ * repeated field, a metric count that does not match the metric lines,
+ * checksum mismatch, or missing end marker. Reads @p is to its end.
+ * Exposed for tests.
  */
 bool readSummaryBlob(std::istream &is, std::string &key_out,
                      RunSummary &summary_out, unsigned schema_version);
@@ -148,10 +150,22 @@ class ResultStore : public campaign::CacheBackend
     std::string versionDir_;
     unsigned schemaVersion_;
 
+    /** One indexed blob. */
+    struct Blob
+    {
+        std::uint64_t bytes = 0; ///< on-disk size
+        /** Which publish indexed it (0: the startup scan), so a fetch
+         *  that found the blob damaged drops only the entry it read. */
+        std::uint64_t generation = 0;
+    };
+
+    /** Guards the index and the counters, never file I/O: fetch and
+     *  publish read and write blobs outside it. */
     mutable std::mutex mutex_;
-    /** digest -> blob byte size for everything present on disk
-     *  (ordered so listings are deterministic). */
-    std::map<std::string, std::uint64_t> index_;
+    /** digest -> blob for everything present on disk (ordered so
+     *  listings are deterministic). */
+    std::map<std::string, Blob> index_;
+    std::uint64_t generation_ = 0; ///< last Blob::generation issued
     std::uint64_t bytes_ = 0; ///< summed sizes of index_ entries
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -37,6 +37,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -66,6 +67,20 @@ class MetricSet
 {
   public:
     void set(const std::string &key, double v) { map_[key] = v; }
+
+    /**
+     * set() for keys arriving in ascending order, the order every
+     * writer of a metric tree emits: a hinted insert at the end,
+     * amortized O(1). Keys out of order still land in place, and a
+     * repeated key keeps its last value, exactly as with set().
+     */
+    void append(std::string key, double v)
+    {
+        const std::size_t before = map_.size();
+        const auto it = map_.emplace_hint(map_.end(), std::move(key), v);
+        if (map_.size() == before)
+            it->second = v;
+    }
 
     /** Value of @p key; throws MetricError with near-miss suggestions
      *  when absent. */

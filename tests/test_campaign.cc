@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -142,6 +143,30 @@ TEST(Fingerprint, DigestIsFixedWidth)
     const std::string d = campaign::fingerprintDigest(e);
     EXPECT_EQ(d.size(), 16u);
     EXPECT_EQ(d, campaign::digestOfKey(campaign::fingerprint(e)));
+}
+
+TEST(Fingerprint, DigestMatchesPrintfHex)
+{
+    const auto printfHex = [](std::uint64_t h) {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+        return std::string(buf);
+    };
+    std::vector<std::uint64_t> values = {
+        0, 1, 0xf, 0x10, 0xffffffffull, 0x8000000000000000ull,
+        0x0123456789abcdefull, UINT64_MAX};
+    std::mt19937_64 rng(0x5eed);
+    for (int i = 0; i < 1000; ++i)
+        values.push_back(rng() >> (rng() % 64));
+    for (const std::uint64_t v : values)
+        EXPECT_EQ(campaign::hex16(v), printfHex(v));
+
+    for (int i = 0; i < 200; ++i) {
+        const std::string key = "k=" + std::to_string(rng()) + ";";
+        EXPECT_EQ(campaign::digestOfKey(key),
+                  printfHex(campaign::fnv1a64(key)));
+    }
+    EXPECT_EQ(campaign::digestOfKey(""), "cbf29ce484222325");
 }
 
 TEST(Engine, FourThreadRunMatchesSequentialSweep)

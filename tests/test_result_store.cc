@@ -8,14 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cfloat>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "driver/campaign/fingerprint.hh"
 #include "driver/service/store.hh"
 
 using namespace tdm;
@@ -71,6 +76,51 @@ sampleSummary()
 
 const std::string kKey = "machine.cores=8;scheduler=fifo;workload=ch;";
 
+std::string
+blobOf(const RunSummary &s, const std::string &key = kKey)
+{
+    std::ostringstream os;
+    service::writeSummaryBlob(os, key, s, 2);
+    return os.str();
+}
+
+bool
+readsBack(const std::string &blob, RunSummary *out = nullptr)
+{
+    std::istringstream is(blob);
+    std::string key;
+    RunSummary summary;
+    const bool ok = service::readSummaryBlob(is, key, summary, 2);
+    if (ok && out)
+        *out = summary;
+    return ok;
+}
+
+/** Payload of a blob: the lines between the header and the checksum. */
+std::string
+payloadOf(const std::string &blob)
+{
+    const std::size_t start = blob.find('\n') + 1;
+    return blob.substr(start, blob.rfind("sum ") - start);
+}
+
+/** A blob around @p payload with a matching checksum, so only the
+ *  structural checks can reject it. */
+std::string
+sealed(const std::string &payload)
+{
+    return "tdmstore 1 schema 2\n" + payload + "sum " +
+           campaign::hex16(campaign::fnv1a64(payload)) + "\nend\n";
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
 } // namespace
 
 TEST(ResultStoreBlob, RoundTripPreservesEveryField)
@@ -118,35 +168,144 @@ TEST(ResultStoreBlob, WrongSchemaVersionRejected)
 
 TEST(ResultStoreBlob, TruncatedOrTamperedBlobRejected)
 {
-    std::ostringstream os;
-    service::writeSummaryBlob(os, kKey, sampleSummary(), 2);
-    const std::string blob = os.str();
+    const std::string blob = blobOf(sampleSummary());
 
     // Any truncation must fail: there is always a trailing checksum
-    // and end marker to lose.
-    for (std::size_t cut : {std::size_t{0}, std::size_t{1},
-                            blob.size() / 4, blob.size() / 2,
-                            blob.size() - 2}) {
-        std::istringstream is(blob.substr(0, cut));
-        std::string key;
-        RunSummary out;
-        EXPECT_FALSE(service::readSummaryBlob(is, key, out, 2))
+    // and end marker to lose. The one exception is a cut at the final
+    // '\n': the blob still ends in a whole "end" line, which the
+    // std::getline reader accepted (a last line needs no terminator)
+    // and the one-pass reader keeps accepting, as it keeps ignoring
+    // bytes after the end marker.
+    ASSERT_EQ(blob.substr(blob.size() - 5), "\nend\n");
+    for (std::size_t cut = 0; cut < blob.size() - 1; ++cut)
+        EXPECT_FALSE(readsBack(blob.substr(0, cut)))
             << "accepted a blob truncated to " << cut << " bytes";
-    }
+    EXPECT_TRUE(readsBack(blob.substr(0, blob.size() - 1)));
+    EXPECT_TRUE(readsBack(blob + "trailing bytes\n"));
 
     // Flipping one payload character breaks the checksum.
     std::string tampered = blob;
     const std::size_t pos = tampered.find("makespan");
     ASSERT_NE(pos, std::string::npos);
     tampered[pos] = 'M';
-    std::istringstream is(tampered);
-    std::string key;
-    RunSummary out;
-    EXPECT_FALSE(service::readSummaryBlob(is, key, out, 2));
+    EXPECT_FALSE(readsBack(tampered));
+
+    // So does any seeded single-byte flip after the header line: the
+    // payload is covered by the checksum, the checksum line and the
+    // end marker by exact comparison.
+    const std::size_t first = blob.find('\n') + 1;
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 2000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const std::size_t at =
+            first + static_cast<std::size_t>(state >> 33) %
+                        (blob.size() - first);
+        const auto flip = static_cast<char>(1 + (state >> 20) % 255);
+        std::string bad = blob;
+        bad[at] = static_cast<char>(bad[at] ^ flip);
+        EXPECT_FALSE(readsBack(bad))
+            << "accepted byte " << at << " xor " << (flip & 0xff);
+    }
 
     // Garbage from byte zero.
-    std::istringstream garbage("these are not the blobs\nyou seek\n");
-    EXPECT_FALSE(service::readSummaryBlob(garbage, key, out, 2));
+    EXPECT_FALSE(readsBack("these are not the blobs\nyou seek\n"));
+}
+
+TEST(ResultStoreBlob, FieldSetAndMetricCountEnforced)
+{
+    const std::string payload = payloadOf(blobOf(sampleSummary()));
+    ASSERT_TRUE(readsBack(sealed(payload))); // the helper itself
+
+    // The whole line starting with prefix, '\n' included.
+    const auto lineOf = [&](const std::string &prefix) {
+        const std::size_t at = ("\n" + payload).find("\n" + prefix);
+        return payload.substr(at, payload.find('\n', at) + 1 - at);
+    };
+    const auto without = [&](const std::string &line) {
+        std::string p = payload;
+        p.erase(p.find(line), line.size());
+        return p;
+    };
+    const auto before = [&](const std::string &line,
+                            const std::string &extra) {
+        std::string p = payload;
+        p.insert(p.find(line), extra);
+        return p;
+    };
+    const std::string edp = lineOf("f edp ");
+    const std::string key = lineOf("key ");
+    const std::string count = lineOf("metrics ");
+    const std::string metric = lineOf("m dmu.tat.hits ");
+    ASSERT_EQ(count, "metrics 3\n");
+    const auto counted = [&](const char *line) {
+        std::string p = payload;
+        p.replace(p.find(count), count.size(), line);
+        return p;
+    };
+
+    // Missing, repeated, unknown and valueless fields.
+    EXPECT_FALSE(readsBack(sealed(without(edp))));
+    EXPECT_FALSE(readsBack(sealed(before(edp, edp))));
+    EXPECT_FALSE(readsBack(sealed(before(edp, "f edp_total 1\n"))));
+    EXPECT_FALSE(readsBack(sealed(before(edp, "f edp\n"))));
+    EXPECT_FALSE(readsBack(sealed(without(key))));
+    EXPECT_FALSE(readsBack(sealed(before(edp, key))));
+    // Metric count above and below the metric lines.
+    EXPECT_FALSE(readsBack(sealed(counted("metrics 4\n"))));
+    EXPECT_FALSE(readsBack(sealed(counted("metrics 2\n"))));
+    EXPECT_FALSE(readsBack(sealed(counted("metrics\n"))));
+    EXPECT_FALSE(readsBack(sealed(without(metric))));
+    // Lines out of their section, and unknown tags.
+    EXPECT_FALSE(readsBack(sealed(before(count, metric))));
+    EXPECT_FALSE(readsBack(sealed(before(count, count))));
+    EXPECT_FALSE(readsBack(sealed(without(edp) + edp)));
+    EXPECT_FALSE(readsBack(sealed(without(key) + key)));
+    EXPECT_FALSE(readsBack(sealed(payload + "x 1\n")));
+    EXPECT_FALSE(readsBack(sealed(payload + "\n")));
+
+    // A repeated metric key counts as a metric line and keeps the last
+    // value, as the old reader's map assignment did.
+    std::string dup = counted("metrics 4\n");
+    dup.insert(dup.find(metric) + metric.size(), "m dmu.tat.hits 9\n");
+    RunSummary out;
+    ASSERT_TRUE(readsBack(sealed(dup), &out));
+    EXPECT_EQ(out.metrics().size(), 3u);
+    EXPECT_EQ(out.metrics().at("dmu.tat.hits"), 9.0);
+}
+
+TEST(ResultStoreBlob, ExtremeDoublesRoundTripBitExactly)
+{
+    const double values[] = {
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN - std::numeric_limits<double>::denorm_min(), // top subnormal
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        -0.0,
+    };
+    RunSummary in = sampleSummary();
+    in.machine.metrics = sim::MetricSet{};
+    for (std::size_t i = 0; i < std::size(values); ++i)
+        in.machine.metrics.set("x." + std::to_string(10 + i), values[i]);
+    in.timeMs = std::numeric_limits<double>::denorm_min();
+    in.edp = std::numeric_limits<double>::infinity();
+    in.machine.avgWatts = -std::numeric_limits<double>::quiet_NaN();
+
+    RunSummary out;
+    ASSERT_TRUE(readsBack(blobOf(in), &out));
+    ASSERT_EQ(out.metrics().size(), std::size(values));
+    auto it = out.metrics().entries().begin();
+    for (std::size_t i = 0; i < std::size(values); ++i, ++it)
+        EXPECT_EQ(bitsOf(it->second), bitsOf(values[i])) << it->first;
+    EXPECT_EQ(bitsOf(out.timeMs), bitsOf(in.timeMs));
+    EXPECT_EQ(bitsOf(out.edp), bitsOf(in.edp));
+    EXPECT_EQ(bitsOf(out.machine.avgWatts), bitsOf(in.machine.avgWatts));
+    EXPECT_EQ(blobOf(out), blobOf(in));
 }
 
 TEST(ResultStore, PublishFetchAndRestartReload)
@@ -295,5 +454,93 @@ TEST(ResultStore, ConcurrentPublishFetchHammer)
         auto hit = store.fetch(keyOf(k));
         ASSERT_TRUE(hit.has_value());
         EXPECT_EQ(hit->makespan, 1000 + k);
+    }
+}
+
+TEST(ResultStore, ConcurrentFetchPublishAndCorruptDrop)
+{
+    // Fetches read and parse outside the store lock while publishers
+    // add new keys (both publishing every key, so writers of one key
+    // race) and one indexed blob is damaged on disk. Every fetch is a
+    // whole, correct hit or a clean miss; the counters add up; and the
+    // damaged blob is dropped exactly once, even though a publish
+    // heals it while fetches that read the damaged bytes may still be
+    // in flight.
+    constexpr unsigned kOld = 8;
+    constexpr unsigned kNew = 24;
+    constexpr unsigned kBad = kOld + kNew; // index of the damaged key
+    constexpr unsigned kFetchers = 4;
+    constexpr unsigned kRounds = 30;
+
+    StoreDir dir("race");
+    std::vector<RunSummary> summaries(kBad + 1);
+    for (unsigned k = 0; k <= kBad; ++k) {
+        summaries[k] = sampleSummary();
+        summaries[k].makespan = 5000 + k;
+        summaries[k].machine.metrics.set("key.index", k);
+    }
+    auto keyOf = [](unsigned k) {
+        return "race=" + std::to_string(k) + ";";
+    };
+    {
+        service::ResultStore writer(dir.str());
+        for (unsigned k = 0; k < kOld; ++k)
+            writer.publish(keyOf(k), summaries[k]);
+        writer.publish(keyOf(kBad), summaries[kBad]);
+        std::ofstream out(writer.pathForKey(keyOf(kBad)),
+                          std::ios::trunc);
+        out << "tdmstore 1 schema 2\ngarbage\n";
+    }
+    service::ResultStore store(dir.str());
+    ASSERT_EQ(store.size(), kOld + 1);
+
+    std::atomic<std::uint64_t> fetches{0};
+    std::atomic<std::uint64_t> hits{0};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kFetchers; ++t) {
+        pool.emplace_back([&, t] {
+            for (unsigned r = 0; r < kRounds; ++r) {
+                for (unsigned i = 0; i <= kBad; ++i) {
+                    const unsigned k = (i + t * 7) % (kBad + 1);
+                    const auto got = store.fetch(keyOf(k));
+                    ++fetches;
+                    if (!got)
+                        continue;
+                    ++hits;
+                    EXPECT_EQ(got->makespan, 5000 + k);
+                    EXPECT_EQ(got->metrics().entries(),
+                              summaries[k].metrics().entries());
+                }
+            }
+        });
+    }
+    for (unsigned t = 0; t < 2; ++t) {
+        pool.emplace_back([&, t] {
+            for (unsigned i = 0; i < kNew; ++i) {
+                const unsigned k = kOld + (t == 0 ? i : kNew - 1 - i);
+                store.publish(keyOf(k), summaries[k]);
+            }
+        });
+    }
+    // The healer: once a fetch has dropped the damaged blob, publish
+    // it again while the fetchers keep going.
+    pool.emplace_back([&] {
+        while (store.corrupt() == 0)
+            std::this_thread::yield();
+        store.publish(keyOf(kBad), summaries[kBad]);
+    });
+    for (std::thread &t : pool)
+        t.join();
+
+    EXPECT_EQ(store.corrupt(), 1u);
+    EXPECT_EQ(store.hits() + store.misses(), fetches.load());
+    EXPECT_EQ(store.hits(), hits.load());
+    EXPECT_EQ(store.stores(), kNew + 1);
+    EXPECT_EQ(store.size(), kBad + 1);
+    for (unsigned k = 0; k <= kBad; ++k) {
+        const auto got = store.fetch(keyOf(k));
+        ASSERT_TRUE(got.has_value()) << k;
+        EXPECT_EQ(got->metrics().entries(),
+                  summaries[k].metrics().entries());
     }
 }

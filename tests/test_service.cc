@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -165,6 +166,96 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     EXPECT_EQ(decoded.summary.timeMs, job.summary.timeMs);
     EXPECT_EQ(decoded.summary.machine.metrics.entries(),
               job.summary.machine.metrics.entries());
+}
+
+namespace {
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/** parseJson + decodePointEvent, the client's decode path. */
+bool
+decodeLine(const std::string &line, campaign::JobResult &job)
+{
+    svc::JsonValue event;
+    std::string err;
+    std::size_t index = 0, total = 0;
+    return svc::parseJson(line, event, err) &&
+           svc::decodePointEvent(event, job, index, total);
+}
+
+/** A point event carrying @p metrics as its metrics object. */
+std::string
+pointWithMetrics(const std::string &metrics)
+{
+    return R"({"event":"point","index":0,"total":1,"label":"a",)"
+           R"("source":"simulated","metrics":)" + metrics + "}";
+}
+
+} // namespace
+
+TEST(ServiceProtocol, Fig13PointEventsDecodeBitIdentical)
+{
+    campaign::EngineOptions opts;
+    opts.threads = 2;
+    campaign::CampaignEngine engine(opts);
+    const campaign::CampaignResult result =
+        engine.run(campaign::makeCampaign("fig13"));
+    ASSERT_EQ(result.jobs.size(), 72u);
+    // The whole tree, and a strict subset of it.
+    for (const std::string pattern : {"", "mesh.*,power.*"}) {
+        for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+            const campaign::JobResult &job = result.jobs[i];
+            std::string line;
+            svc::writePoint(line, 1, job, i, result.jobs.size(), pattern);
+            campaign::JobResult decoded;
+            ASSERT_TRUE(decodeLine(line, decoded)) << job.label;
+            const sim::MetricSet want =
+                job.summary.metrics().select(pattern);
+            ASSERT_FALSE(want.empty());
+            ASSERT_EQ(want.size() < job.summary.metrics().size(),
+                      !pattern.empty());
+            const auto &got = decoded.summary.metrics().entries();
+            ASSERT_EQ(got.size(), want.size()) << job.label;
+            auto it = got.begin();
+            for (const auto &[k, v] : want.entries()) {
+                EXPECT_EQ(it->first, k) << job.label;
+                EXPECT_EQ(bitsOf(it->second), bitsOf(v))
+                    << job.label << ": " << k;
+                ++it;
+            }
+            EXPECT_EQ(decoded.summary.makespan, job.summary.makespan);
+        }
+    }
+}
+
+TEST(ServiceProtocol, PointEventMetricShapesKeepTheirOutcome)
+{
+    campaign::JobResult job;
+    // Only numbers are metric values: a string, a nested object or a
+    // null (what a non-finite value is written as) fails the event.
+    EXPECT_FALSE(decodeLine(pointWithMetrics(R"({"a":1,"b":"x"})"), job));
+    EXPECT_FALSE(
+        decodeLine(pointWithMetrics(R"({"a":1,"b":{"c":2}})"), job));
+    EXPECT_FALSE(decodeLine(pointWithMetrics(R"({"a":null})"), job));
+    EXPECT_FALSE(decodeLine(pointWithMetrics(R"([1,2])"), job));
+
+    ASSERT_TRUE(decodeLine(pointWithMetrics("{}"), job));
+    EXPECT_TRUE(job.summary.metrics().empty());
+    // Keys out of order still land sorted; a repeated key keeps its
+    // last value.
+    ASSERT_TRUE(decodeLine(
+        pointWithMetrics(R"({"b":1,"a":2,"c":3,"a":4,"b":5})"), job));
+    const auto &m = job.summary.metrics().entries();
+    ASSERT_EQ(m.size(), 3u);
+    EXPECT_EQ(m.at("a"), 4.0);
+    EXPECT_EQ(m.at("b"), 5.0);
+    EXPECT_EQ(m.at("c"), 3.0);
 }
 
 namespace {

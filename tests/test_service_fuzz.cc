@@ -1,27 +1,33 @@
 /**
  * @file
- * Fuzz-style robustness tests for the service's two request parsers:
- * the line protocol (parseJson / parseRequest, plus buildCampaign on
- * whatever parses) and the dashboard's HttpParser.
+ * Fuzz-style robustness tests for the service's parsers of outside
+ * bytes: the line protocol (parseJson / parseRequest, plus
+ * buildCampaign on whatever parses), the dashboard's HttpParser, the
+ * client's point-event decoder and the result store's blob reader.
  *
- * Both read bytes straight off a socket, so their contract is a clean
- * parse or a clean error — never a crash, an over-read, or a stray
- * exception. The corpus is deterministic mutations (byte flips,
+ * All of them read bytes from a socket or a disk, so their contract is
+ * a clean parse or a clean error — never a crash, an over-read, or a
+ * stray exception; a store blob is moreover read back correctly or not
+ * at all. The corpus is deterministic mutations (byte flips,
  * truncations, splices, deletions) of valid ping, status and submit
- * lines and of valid GET heads, from a fixed-seed xorshift generator
- * so a failure reproduces everywhere. CI runs it under ASan/UBSan,
- * which turns any over-read or bad index into a failure.
+ * lines, of valid GET heads, and of a real point event and store blob,
+ * from a fixed-seed xorshift generator so a failure reproduces
+ * everywhere. CI runs it under ASan/UBSan, which turns any over-read
+ * or bad index into a failure.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "driver/campaign/fingerprint.hh"
 #include "driver/service/http_server.hh"
 #include "driver/service/protocol.hh"
+#include "driver/service/store.hh"
 #include "driver/spec/spec.hh"
 
 using namespace tdm::driver;
@@ -162,6 +168,72 @@ httpMustNotCrash(const std::string &head, std::size_t split)
     return true;
 }
 
+/** One real simulated point (dedup on the TDM runtime). */
+const campaign::JobResult &
+realJob()
+{
+    static const campaign::JobResult job = [] {
+        Experiment exp;
+        spec::applyKey(exp, "workload", "dedup");
+        spec::applyKey(exp, "runtime", "tdm");
+        campaign::JobResult j;
+        j.label = "dedup/tdm";
+        j.digest = campaign::fingerprintDigest(exp);
+        j.summary = run(exp);
+        return j;
+    }();
+    return job;
+}
+
+std::string
+realPointEvent()
+{
+    std::string line;
+    svc::writePoint(line, 1, realJob(), 0, 1, "");
+    line.pop_back(); // the '\n'
+    return line;
+}
+
+const std::string kBlobKey = "workload=dedup;runtime=tdm;";
+
+std::string
+realBlob()
+{
+    std::ostringstream os;
+    svc::writeSummaryBlob(os, kBlobKey, realJob().summary, 2);
+    return os.str();
+}
+
+/** The decoder contract: parseJson + decodePointEvent return true or
+ *  false. Returns true when the event decoded. */
+bool
+pointEventMustNotCrash(const std::string &line)
+{
+    svc::JsonValue event;
+    std::string error;
+    campaign::JobResult job;
+    std::size_t index = 0, total = 0;
+    return svc::parseJson(line, event, error) &&
+           svc::decodePointEvent(event, job, index, total);
+}
+
+/** The store contract, "absent or correct, never wrong": a blob that
+ *  reads back at all reads back as the original key and summary.
+ *  Returns true when it was accepted. */
+bool
+blobMustReadBackWholeOrNot(const std::string &blob)
+{
+    std::istringstream is(blob);
+    std::string key;
+    RunSummary summary;
+    if (!svc::readSummaryBlob(is, key, summary, 2))
+        return false;
+    std::ostringstream os;
+    svc::writeSummaryBlob(os, key, summary, 2);
+    EXPECT_EQ(os.str(), realBlob());
+    return true;
+}
+
 } // namespace
 
 TEST(ServiceFuzz, SeedCorpusIsValid)
@@ -171,6 +243,8 @@ TEST(ServiceFuzz, SeedCorpusIsValid)
         EXPECT_TRUE(protocolMustNotCrash(line)) << line;
     for (const std::string &head : kValidHeads)
         EXPECT_TRUE(httpMustNotCrash(head, head.size() / 2)) << head;
+    EXPECT_TRUE(pointEventMustNotCrash(realPointEvent()));
+    EXPECT_TRUE(blobMustReadBackWholeOrNot(realBlob()));
 }
 
 TEST(ServiceFuzz, MutatedProtocolLines)
@@ -205,6 +279,37 @@ TEST(ServiceFuzz, MutatedHttpHeads)
     }
     EXPECT_GT(parsedOk, 0);
     EXPECT_LT(parsedOk, kRounds);
+}
+
+TEST(ServiceFuzz, MutatedPointEvents)
+{
+    FuzzRng rng(0x90171e7);
+    const char bytes[] = "{}[]\":,.0123456789eE+-naulfs \0\x80\xff";
+    const std::string garbage(bytes, sizeof bytes - 1);
+    const std::string seed = realPointEvent();
+    int decodedOk = 0;
+    constexpr int kRounds = 2000;
+    for (int round = 0; round < kRounds; ++round)
+        if (pointEventMustNotCrash(mutate(seed, rng, garbage)))
+            ++decodedOk;
+    EXPECT_GT(decodedOk, 0);
+    EXPECT_LT(decodedOk, kRounds);
+}
+
+TEST(ServiceFuzz, MutatedStoreBlobs)
+{
+    // The checksum covers the payload, so nearly every mutation is
+    // refused; the ones that read back must read back unchanged.
+    FuzzRng rng(0xb10b5);
+    const char bytes[] = " \t\n.0123456789abcdefmsumkeyend\0\x80\xff";
+    const std::string garbage(bytes, sizeof bytes - 1);
+    const std::string seed = realBlob();
+    int accepted = 0;
+    constexpr int kRounds = 2000;
+    for (int round = 0; round < kRounds; ++round)
+        if (blobMustReadBackWholeOrNot(mutate(seed, rng, garbage)))
+            ++accepted;
+    EXPECT_LT(accepted, kRounds);
 }
 
 TEST(ServiceFuzz, HostileProtocolLines)
