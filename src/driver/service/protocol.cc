@@ -807,7 +807,7 @@ decodePointEvent(const JsonValue &event, campaign::JobResult &job,
     for (const auto &[k, v] : metrics->members) {
         if (!v.isNumber())
             return false;
-        s.machine.metrics.append(k, v.number);
+        s.machine.metrics.set(k, v.number);
     }
     return true;
 }

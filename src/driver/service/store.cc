@@ -257,7 +257,6 @@ parseSummaryBlob(std::string_view bytes, std::string_view &key_out,
     constexpr std::size_t kFields = std::tuple_size_v<decltype(fields)>;
     static_assert(kFields < 64, "one bit per field in `seen`");
     std::uint64_t seen = 0; // bit i: fields[i] assigned
-    std::size_t nextField = 0; // the writer's order: usually a match
     std::string_view key;
     bool haveKey = false;
     std::uint64_t metricsExpected = 0, metricsSeen = 0;
@@ -295,19 +294,16 @@ parseSummaryBlob(std::string_view bytes, std::string_view &key_out,
             double v = 0.0;
             if (!inMetrics || value.empty() || !parseValue(value, v))
                 return false;
-            s.machine.metrics.append(std::string(name), v);
+            s.machine.metrics.set(std::string(name), v);
             ++metricsSeen;
         } else if (tag == "f") {
             const std::string_view name = nextToken(line, p);
             const std::string_view value = nextToken(line, p);
             if (inMetrics || value.empty())
                 return false;
-            std::size_t i = nextField;
-            if (i >= kFields || fields[i].name != name) {
-                i = 0;
-                while (i < kFields && fields[i].name != name)
-                    ++i;
-            }
+            std::size_t i = 0;
+            while (i < kFields && fields[i].name != name)
+                ++i;
             const std::uint64_t bit = std::uint64_t{1} << i;
             if (i == kFields || (seen & bit) != 0)
                 return false; // unknown or repeated field
@@ -315,7 +311,6 @@ parseSummaryBlob(std::string_view bytes, std::string_view &key_out,
                               : !parseValue(value, *fields[i].f64))
                 return false;
             seen |= bit;
-            nextField = i + 1;
         } else if (tag == "key") {
             if (haveKey || inMetrics)
                 return false;

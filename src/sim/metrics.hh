@@ -66,20 +66,19 @@ const char *metricKindName(MetricKind kind);
 class MetricSet
 {
   public:
-    void set(const std::string &key, double v) { map_[key] = v; }
-
     /**
-     * set() for keys arriving in ascending order, the order every
-     * writer of a metric tree emits: a hinted insert at the end,
-     * amortized O(1). Keys out of order still land in place, and a
-     * repeated key keeps its last value, exactly as with set().
+     * Insert or overwrite @p key. Writers of a metric tree emit keys in
+     * ascending order, so the insert is hinted at the map's end:
+     * amortized O(1) for them, one extra compare for a key out of
+     * order, which still lands in place.
      */
-    void append(std::string key, double v)
+    void set(const std::string &key, double v)
     {
-        const std::size_t before = map_.size();
-        const auto it = map_.emplace_hint(map_.end(), std::move(key), v);
-        if (map_.size() == before)
-            it->second = v;
+        map_.insert_or_assign(map_.end(), key, v);
+    }
+    void set(std::string &&key, double v)
+    {
+        map_.insert_or_assign(map_.end(), std::move(key), v);
     }
 
     /** Value of @p key; throws MetricError with near-miss suggestions
